@@ -13,12 +13,12 @@ The text form is whitespace-separated name/exponent pairs, e.g.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
 from fractions import Fraction
 from typing import Iterable, Optional
 
 from .errors import DomainError, ParseError
-from .exact_arith import INFINITY, ExtRational
+from .exact_arith import INFINITY, ExtRational, _Value
 
 __all__ = [
     "GENERATORS",
@@ -40,11 +40,13 @@ GENERATORS = ("m", "l", "s")
 Letter = tuple[str, int]
 
 
-@dataclass(frozen=True)
-class BraidWord:
+class BraidWord(_Value):
     """A canonical word: merged runs, no zero exponents."""
 
-    letters: tuple[Letter, ...] = ()
+    __slots__ = ("letters",)
+
+    def __init__(self, letters: tuple[Letter, ...] = ()) -> None:
+        object.__setattr__(self, "letters", letters)
 
     def __mul__(self, other: "BraidWord") -> "BraidWord":
         return word(self.letters + other.letters)
@@ -78,6 +80,26 @@ def word(letters: Iterable[Letter]) -> BraidWord:
     return BraidWord(tuple(stack))
 
 
+def _parse_int(token: str, position: int, kind: str) -> int:
+    """The integer a token spells, or a ParseError naming its position.
+
+    A string of decimal digits fails int() only by exceeding Python's limit
+    on integer string conversion; that error names the digit count and
+    echoes only the token's start.
+    """
+    try:
+        return int(token)
+    except ValueError:
+        pass
+    digits = token[1:] if token[0] in "+-" else token
+    if digits.isdecimal():
+        raise ParseError(
+            f"token {position}: {kind} too long ({len(digits)} digits, the limit is "
+            f"{sys.get_int_max_str_digits()}), got {token[:20]!r}..."
+        )
+    raise ParseError(f"token {position}: expected an {kind}, got {token!r}")
+
+
 def parse_word(text: str) -> BraidWord:
     """Parse the text form of a word.
 
@@ -94,13 +116,7 @@ def parse_word(text: str) -> BraidWord:
         name = tokens[i]
         if name not in GENERATORS:
             raise ParseError(f"token {i + 1}: expected one of m, l, s, got {name!r}")
-        try:
-            exponent = int(tokens[i + 1])
-        except ValueError:
-            raise ParseError(
-                f"token {i + 2}: expected an integer exponent, got {tokens[i + 1]!r}"
-            ) from None
-        letters.append((name, exponent))
+        letters.append((name, _parse_int(tokens[i + 1], i + 2, "integer exponent")))
     return word(letters)
 
 

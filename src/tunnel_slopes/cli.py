@@ -13,7 +13,6 @@ Exit status: 0 on success, 1 for a value outside an operation's domain,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Optional, Sequence
 
@@ -66,9 +65,15 @@ def _slope_arrays(seq: SlopeSequence) -> dict:
     }
 
 
+def _print_json(payload: dict) -> None:
+    import json  # only --json output needs it; a plain run starts without it
+
+    print(json.dumps(payload))
+
+
 def _emit_slopes(seq: SlopeSequence, json_mode: bool) -> None:
     if json_mode:
-        print(json.dumps(_slope_arrays(seq)))
+        _print_json(_slope_arrays(seq))
     elif seq:
         print(format_slopes(seq))
     else:
@@ -77,7 +82,7 @@ def _emit_slopes(seq: SlopeSequence, json_mode: bool) -> None:
 
 def _emit_word(w: BraidWord, json_mode: bool) -> None:
     if json_mode:
-        print(json.dumps({"word": format_word(w)}))
+        _print_json({"word": format_word(w)})
     else:
         print(format_word(w))
 
@@ -88,7 +93,7 @@ def _emit_two_bridge(report: TwoBridgeReport, json_mode: bool) -> None:
             field: _slope_arrays(getattr(report, field))
             for _, field in _TWO_BRIDGE_LABELS
         }
-        print(json.dumps(payload))
+        _print_json(payload)
         return
     for label, field in _TWO_BRIDGE_LABELS:
         print(f"{label:<25}{format_slopes(getattr(report, field))}")
@@ -138,21 +143,19 @@ def _cmd_find_two_bridge(args: argparse.Namespace) -> None:
     result = find_two_bridge(parse_slopes(" ".join(args.slopes)))
     if isinstance(result, Rejection):
         if args.json:
-            print(
-                json.dumps(
-                    {
-                        "matched": False,
-                        "condition": result.condition,
-                        "message": result.message,
-                    }
-                )
+            _print_json(
+                {
+                    "matched": False,
+                    "condition": result.condition,
+                    "message": result.message,
+                }
             )
         else:
             print(result.message)
         return
     knot, dual = result
     if args.json:
-        print(json.dumps({"matched": True, "a": knot.a, "b": knot.b, "dual_b": dual.b}))
+        _print_json({"matched": True, "a": knot.a, "b": knot.b, "dual_b": dual.b})
     else:
         print(SUCCESS_SENTENCE.format(a=knot.a, b=knot.b, b2=dual.b))
 

@@ -1,5 +1,8 @@
 """Exact arithmetic: extended rationals, 2x2 integer matrices, continued fractions.
 
+This module also holds ``_Value``, the base of the package's immutable value
+classes.
+
 Slope values are rational numbers or the single formal value ``INFINITY``
 (conceptually 1/0; there is no signed infinity).  Continued fractions follow
 the convention
@@ -17,7 +20,6 @@ pair (a, b) with a odd, is the normal form behind the 2-bridge formulas.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -52,14 +54,54 @@ INFINITY = _Infinity()
 ExtRational = Fraction | _Infinity
 
 
-@dataclass(frozen=True)
-class Mat2:
+class _Value:
+    """Base of the package's immutable values.
+
+    A subclass names its fields in ``__slots__`` and sets them in its own
+    ``__init__`` with ``object.__setattr__``.  Instances compare equal field
+    by field within one class, hash their field tuple, refuse assignment,
+    print as ``Name(field=value, ...)`` and rebuild from their fields under
+    copy and pickle.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        # the raising __setattr__ rules out pickle's default slot restore
+        return (type(self), self._fields())
+
+
+class Mat2(_Value):
     """A 2x2 integer matrix [[a, b], [c, d]], row major."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ("a", "b", "c", "d")
+
+    def __init__(self, a: int, b: int, c: int, d: int) -> None:
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
 
     def __mul__(self, other: "Mat2") -> "Mat2":
         return Mat2(
@@ -94,26 +136,26 @@ MAT_U = Mat2(1, 1, 0, 1)
 MAT_L = Mat2(1, 0, 1, 1)
 
 
-@dataclass(frozen=True)
-class SimpleSlope:
+class SimpleSlope(_Value):
     """A class [p/q] in Q/Z, stored with q >= 1 and 0 <= p < q.
 
     The trivial class is written 0/1.
     """
 
-    p: int
-    q: int
+    __slots__ = ("p", "q")
 
-    def __post_init__(self) -> None:
-        if self.q < 1:
+    def __init__(self, p: int, q: int) -> None:
+        if q < 1:
             raise DomainError("simple slope needs q >= 1")
-        if not 0 <= self.p < self.q:
+        if not 0 <= p < q:
             raise DomainError("simple slope needs 0 <= p < q")
-        if self.p == 0:
-            if self.q != 1:
+        if p == 0:
+            if q != 1:
                 raise DomainError("the trivial class is written 0/1")
-        elif math.gcd(self.p, self.q) != 1:
-            raise DomainError(f"simple slope {self.p}/{self.q} is not reduced")
+        elif math.gcd(p, q) != 1:
+            raise DomainError(f"simple slope {p}/{q} is not reduced")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
 
     @classmethod
     def from_fraction(cls, x: Fraction) -> "SimpleSlope":

@@ -15,7 +15,6 @@ and realized directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -23,6 +22,7 @@ from .braid import BraidWord, word
 from .errors import DomainError
 from .exact_arith import (
     SimpleSlope,
+    _Value,
     cf_eval,
     expand_all_even,
     expand_odd_numerator,
@@ -52,20 +52,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TwoBridge:
+class TwoBridge(_Value):
     """The 2-bridge knot K(a, b): a odd >= 3, 0 < b < a, gcd(a, b) = 1."""
 
-    a: int
-    b: int
+    __slots__ = ("a", "b")
 
-    def __post_init__(self) -> None:
-        if self.a < 3 or self.a % 2 == 0:
+    def __init__(self, a: int, b: int) -> None:
+        if a < 3 or a % 2 == 0:
             raise DomainError("a must be odd and at least 3")
-        if not 0 < self.b < self.a:
+        if not 0 < b < a:
             raise DomainError("b must satisfy 0 < b < a")
-        if math.gcd(self.a, self.b) != 1:
-            raise DomainError(f"{self.a} and {self.b} are not coprime")
+        if math.gcd(a, b) != 1:
+            raise DomainError(f"{a} and {b} are not coprime")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     @property
     def dual_b(self) -> int:
@@ -73,14 +73,22 @@ class TwoBridge:
         return mod_inverse(self.b, self.a)
 
 
-@dataclass(frozen=True)
-class TwoBridgeReport:
+class TwoBridgeReport(_Value):
     """Slope sequences of the four tunnels of a 2-bridge knot."""
 
-    upper_simple: SlopeSequence
-    upper_semisimple: SlopeSequence
-    lower_simple: SlopeSequence
-    lower_semisimple: SlopeSequence
+    __slots__ = ("upper_simple", "upper_semisimple", "lower_simple", "lower_semisimple")
+
+    def __init__(
+        self,
+        upper_simple: SlopeSequence,
+        upper_semisimple: SlopeSequence,
+        lower_simple: SlopeSequence,
+        lower_semisimple: SlopeSequence,
+    ) -> None:
+        object.__setattr__(self, "upper_simple", upper_simple)
+        object.__setattr__(self, "upper_semisimple", upper_semisimple)
+        object.__setattr__(self, "lower_simple", lower_simple)
+        object.__setattr__(self, "lower_semisimple", lower_semisimple)
 
 
 REJECTION_I = "m0 must be of the form [ n0/(2n0+1) ] with n0 not in {-1,0}."
@@ -91,12 +99,14 @@ REJECTION_IV = (
 )
 
 
-@dataclass(frozen=True)
-class Rejection:
+class Rejection(_Value):
     """Why a slope sequence is not a 2-bridge semisimple tunnel's."""
 
-    condition: str
-    message: str
+    __slots__ = ("condition", "message")
+
+    def __init__(self, condition: str, message: str) -> None:
+        object.__setattr__(self, "condition", condition)
+        object.__setattr__(self, "message", message)
 
 
 def two_bridge_tunnels(a: int, b: int) -> TwoBridgeReport:

@@ -9,12 +9,12 @@ is a class in Q/Z and the later entries are rationals with odd numerator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .braid import (
     BraidWord,
+    _parse_int,
     reverse_word,
     segment,
     subgroup_slope,
@@ -22,7 +22,13 @@ from .braid import (
     word,
 )
 from .errors import DomainError, ParseError
-from .exact_arith import INFINITY, ExtRational, SimpleSlope, expand_odd_numerator
+from .exact_arith import (
+    INFINITY,
+    ExtRational,
+    SimpleSlope,
+    _Value,
+    expand_odd_numerator,
+)
 
 __all__ = [
     "SlopeSequence",
@@ -36,8 +42,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SlopeSequence:
+class SlopeSequence(_Value):
     """The slope invariant [m0], m1, ..., md of a tunnel.
 
     ``first`` is the class of m0 in Q/Z and ``rest`` holds m1, ..., md.  The
@@ -46,21 +51,24 @@ class SlopeSequence:
     slopes with odd numerator.
     """
 
-    first: Optional[SimpleSlope] = None
-    rest: tuple[Fraction, ...] = ()
+    __slots__ = ("first", "rest")
 
-    def __post_init__(self) -> None:
-        if self.first is None:
-            if self.rest:
+    def __init__(
+        self, first: Optional[SimpleSlope] = None, rest: tuple[Fraction, ...] = ()
+    ) -> None:
+        if first is None:
+            if rest:
                 raise DomainError("a sequence without a first slope must be empty")
-            return
-        if self.first.p == 0:
-            raise DomainError("the first slope of a tunnel is never integral")
-        if self.first.q % 2 == 0:
-            raise DomainError("the first slope of a tunnel has odd denominator")
-        for x in self.rest:
-            if x.numerator % 2 == 0:
-                raise DomainError(f"slope {x} has even numerator")
+        else:
+            if first.p == 0:
+                raise DomainError("the first slope of a tunnel is never integral")
+            if first.q % 2 == 0:
+                raise DomainError("the first slope of a tunnel has odd denominator")
+            for x in rest:
+                if x.numerator % 2 == 0:
+                    raise DomainError(f"slope {x} has even numerator")
+        object.__setattr__(self, "first", first)
+        object.__setattr__(self, "rest", rest)
 
     def __bool__(self) -> bool:
         return self.first is not None
@@ -95,14 +103,9 @@ def parse_slopes(text: str) -> SlopeSequence:
         raise ParseError(
             f"token {len(tokens)}: numerator {tokens[-1]!r} has no denominator"
         )
-    numbers: list[int] = []
-    for position, token in enumerate(tokens, 1):
-        try:
-            numbers.append(int(token))
-        except ValueError:
-            raise ParseError(
-                f"token {position}: expected an integer, got {token!r}"
-            ) from None
+    numbers = [
+        _parse_int(token, position, "integer") for position, token in enumerate(tokens, 1)
+    ]
     values: list[Fraction] = []
     for i in range(0, len(numbers), 2):
         if numbers[i + 1] == 0:

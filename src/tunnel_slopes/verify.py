@@ -8,7 +8,6 @@ of them is needed to compute slopes.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from random import Random
@@ -16,7 +15,7 @@ from typing import Sequence
 
 from .braid import BraidWord, Letter, word
 from .errors import DomainError
-from .exact_arith import SimpleSlope, cf_eval
+from .exact_arith import SimpleSlope, _Value, cf_eval
 from .slope_engine import SlopeSequence
 
 __all__ = [
@@ -38,12 +37,14 @@ RELATORS: dict[str, tuple[Letter, ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class FuzzPlan:
+class FuzzPlan(_Value):
     """A reproducible list of relator insertions: (position, relator, direction)."""
 
-    seed: int
-    insertions: tuple[tuple[int, str, int], ...]
+    __slots__ = ("seed", "insertions")
+
+    def __init__(self, seed: int, insertions: tuple[tuple[int, str, int], ...]) -> None:
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "insertions", insertions)
 
 
 def _unit_letters(w: BraidWord) -> list[Letter]:

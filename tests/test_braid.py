@@ -1,6 +1,7 @@
 """Braid words: parsing, canonical form, winding, trimming, segments, slopes."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -50,6 +51,20 @@ def test_parse_error_messages_carry_token_positions():
         parse_word("q 1")
     with pytest.raises(ParseError, match="token 4.*'x'"):
         parse_word("m 1 s x")
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no integer string limit"
+)
+def test_parse_word_names_an_overlong_exponent():
+    digits = sys.get_int_max_str_digits() + 1
+    with pytest.raises(ParseError) as info:
+        parse_word(f"m 1 s {'7' * digits}")
+    assert str(info.value) == (
+        f"token 4: integer exponent too long ({digits} digits, the limit is "
+        f"{sys.get_int_max_str_digits()}), got '77777777777777777777'..."
+    )
+    assert parse_word(f"m {'7' * (digits - 1)}").letters[0][1] == int("7" * (digits - 1))
 
 
 def test_reverse_word_swaps_m_and_l():

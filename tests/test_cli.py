@@ -1,6 +1,9 @@
 """Command-line interface: golden transcripts, JSON mode, exit codes."""
 
+import contextlib
+import io
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,6 +12,7 @@ import pytest
 
 from conftest import run_cli
 from tunnel_slopes import SimpleSlope, SlopeSequence, format_slopes
+from tunnel_slopes.cli import main
 
 MAIN_WORD = ["m", "3", "s", "-2", "l", "3", "s", "-4", "m", "-1", "s", "-4", "l", "3"]
 MAIN_UPPER = ["21", "25", "341", "60", "-13", "1", "-13", "1"]
@@ -195,3 +199,104 @@ def test_module_entry_point_runs_in_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout == "[ 21/25 ], 341/60, -13, -13\n"
+
+
+# A plain run imports neither the dataclass machinery (with inspect behind it)
+# nor json; only --json output loads json.  runpy runs the package as
+# `python -m tunnel_slopes` does, so the same interpreter's sys.modules can be
+# read afterwards.
+_FOOTPRINT_SCRIPT = """
+import runpy, sys
+watched = ("dataclasses", "inspect", "json")
+import tunnel_slopes.cli
+after_import = [name for name in watched if name in sys.modules]
+sys.argv = ["tunnel_slopes", "upperSlopes", "m", "3", "s", "-2", "l", "3"]
+try:
+    runpy.run_module("tunnel_slopes", run_name="__main__", alter_sys=True)
+finally:
+    after_run = [name for name in watched if name in sys.modules]
+    print("loaded:", after_import, after_run, file=sys.stderr)
+"""
+
+
+def test_plain_run_imports_no_dataclasses_inspect_or_json():
+    proc = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT_SCRIPT], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[ 16/19 ], -7, -7\n"
+    assert proc.stderr == "loaded: [] []\n"
+    proc = subprocess.run(
+        [sys.executable, "-m", "tunnel_slopes", "upperSlopes", "--json", "m", "3", "s", "-2", "l", "3"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"numerators": [16, -7, -7], "denominators": [19, 1, 1]}
+
+
+_WORD_COMMANDS = ("upperSlopes", "lowerSlopes", "reverseBraid")
+_SLOPES_COMMANDS = ("braidWord", "dualSlopes", "find2BridgeKnot")
+_PAIR_COMMANDS = (
+    "twoBridge",
+    "upperSemisimpleBraidWord",
+    "lowerSimpleBraidWord",
+    "torusUpperSlopes",
+    "torusLowerSlopes",
+    "fullTorusBraidWord",
+)
+_JUNK = ("x", "q", "1/2", "1.5", "-", "+", "[", "]", ",", "--", "0x3", "--bogus", "")
+
+
+def _fuzz_token(rng, pool):
+    return rng.choice(_JUNK) if rng.random() < 0.04 else rng.choice(pool)
+
+
+def _fuzz_argv(rng):
+    command = rng.choice(_WORD_COMMANDS + _SLOPES_COMMANDS + _PAIR_COMMANDS)
+    if command in _WORD_COMMANDS:
+        exponents = [str(e) for e in range(-5, 6)]
+        args = []
+        for _ in range(rng.randint(0, 8)):
+            args += [_fuzz_token(rng, "mls"), _fuzz_token(rng, exponents)]
+    elif command in _SLOPES_COMMANDS:
+        numbers = [str(n) for n in range(-40, 41)]
+        args = [_fuzz_token(rng, numbers) for _ in range(2 * rng.randint(0, 4))]
+    else:
+        a = rng.randint(-45, 45)
+        b = rng.randint(1, max(abs(a), 1)) if rng.random() < 0.6 else rng.randint(-45, 45)
+        args = [_fuzz_token(rng, [str(a)]), _fuzz_token(rng, [str(b)])]
+    if rng.random() < 0.1:  # an odd token count, or a missing / extra parameter
+        if args and rng.random() < 0.5:
+            args.pop()
+        else:
+            args.append(str(rng.randint(-9, 9)))
+    if rng.random() < 0.3:
+        args.insert(rng.randint(0, len(args)), "--json")
+    if rng.random() < 0.03:
+        command = rng.choice(("noSuchCommand", "upperslopes", "--json", "-h"))
+    return [command, *args]
+
+
+def _run_to_exit(argv):
+    """Like run_cli, but an argparse exit becomes its exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_seeded_fuzz_exits_cleanly():
+    rng = random.Random(20100629)
+    codes = set()
+    for _ in range(400):
+        argv = _fuzz_argv(rng)
+        code, out, err = _run_to_exit(argv)
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err, argv
+        assert (code == 0) == (err == ""), argv
+        codes.add(code)
+    assert codes == {0, 1, 2}

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -76,6 +77,20 @@ def test_parse_slopes_errors():
         parse_slopes("a 25")
     with pytest.raises(DomainError, match="zero denominator"):
         parse_slopes("21 0")
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no integer string limit"
+)
+def test_parse_slopes_names_an_overlong_integer():
+    digits = sys.get_int_max_str_digits() + 7
+    with pytest.raises(ParseError) as info:
+        parse_slopes(f"21 25 -{'3' * digits} 1")
+    message = str(info.value)
+    assert message == (
+        f"token 3: integer too long ({digits} digits, the limit is "
+        f"{sys.get_int_max_str_digits()}), got '-3333333333333333333'..."
+    )
 
 
 def test_upper_slopes_pinned_values():
