@@ -5,39 +5,16 @@ lower tunnel, and each tunnel is classified by a finite sequence of
 rational slopes.  This package converts braid words to slope sequences and
 back with exact arithmetic, and provides closed forms and recognizers for
 the 2-bridge and torus knot families.
+
+The lower-level pieces (word canonicalization, segments, winding numbers,
+continued fractions, the reduction steps) live in ``tunnel_slopes.braid``,
+``tunnel_slopes.exact_arith`` and ``tunnel_slopes.slope_engine``.
 """
 
-from .braid import (
-    GENERATORS,
-    BraidWord,
-    double_coset_trim,
-    format_word,
-    parse_word,
-    reverse_word,
-    segment,
-    subgroup_normal_form,
-    subgroup_slope,
-    winding_number,
-    word,
-)
+from .braid import BraidWord, format_word, parse_word, reverse_word
 from .errors import DomainError, ParseError
-from .exact_arith import (
-    INFINITY,
-    MAT_IDENTITY,
-    MAT_L,
-    MAT_U,
-    Mat2,
-    SimpleSlope,
-    cf_eval,
-    expand_all_even,
-    expand_odd_numerator,
-    mod_inverse,
-)
+from .exact_arith import SimpleSlope
 from .knot_families import (
-    REJECTION_I,
-    REJECTION_II,
-    REJECTION_III,
-    REJECTION_IV,
     Rejection,
     TwoBridge,
     TwoBridgeReport,
@@ -60,7 +37,6 @@ from .slope_engine import (
     format_slopes,
     lower_slopes,
     parse_slopes,
-    peephole,
     upper_slopes,
 )
 
@@ -69,44 +45,25 @@ __version__ = "0.1.0"
 __all__ = [
     "BraidWord",
     "DomainError",
-    "GENERATORS",
-    "INFINITY",
-    "MAT_IDENTITY",
-    "MAT_L",
-    "MAT_U",
-    "Mat2",
     "ParseError",
-    "REJECTION_I",
-    "REJECTION_II",
-    "REJECTION_III",
-    "REJECTION_IV",
     "Rejection",
     "SimpleSlope",
     "SlopeSequence",
     "TwoBridge",
     "TwoBridgeReport",
     "braid_from_slopes",
-    "cf_eval",
-    "double_coset_trim",
     "dual_slopes",
-    "expand_all_even",
-    "expand_odd_numerator",
     "find_two_bridge",
     "format_slopes",
     "format_word",
     "is_toroidal",
     "lower_simple_word",
     "lower_slopes",
-    "mod_inverse",
     "parse_slopes",
     "parse_word",
-    "peephole",
     "reverse_word",
-    "segment",
     "semisimple_slopes_closed_form",
     "staircase",
-    "subgroup_normal_form",
-    "subgroup_slope",
     "toroidal_braid_word",
     "torus_braid_word",
     "torus_lower_slopes",
@@ -114,7 +71,5 @@ __all__ = [
     "two_bridge_tunnels",
     "upper_semisimple_word",
     "upper_slopes",
-    "winding_number",
-    "word",
     "__version__",
 ]

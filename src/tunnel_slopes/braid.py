@@ -32,7 +32,6 @@ __all__ = [
     "double_coset_trim",
     "segment",
     "subgroup_slope",
-    "subgroup_normal_form",
 ]
 
 GENERATORS = ("m", "l", "s")
@@ -80,24 +79,30 @@ def word(letters: Iterable[Letter]) -> BraidWord:
     return BraidWord(tuple(stack))
 
 
-def _parse_int(token: str, position: int, kind: str) -> int:
-    """The integer a token spells, or a ParseError naming its position.
+def _too_long(token: str, kind: str) -> Optional[str]:
+    """Why int() refused a token of decimal digits, or None for other tokens.
 
-    A string of decimal digits fails int() only by exceeding Python's limit
-    on integer string conversion; that error names the digit count and
-    echoes only the token's start.
+    Such a token fails only by exceeding Python's limit on integer string
+    conversion; the message names the digit count and echoes only the
+    token's start.
     """
+    digits = token[1:] if token[:1] in ("+", "-") else token
+    if not digits.isdecimal():
+        return None
+    return (
+        f"{kind} too long ({len(digits)} digits, the limit is "
+        f"{sys.get_int_max_str_digits()}), got {token[:20]!r}..."
+    )
+
+
+def _parse_int(token: str, position: int, kind: str) -> int:
+    """The integer a token spells, or a ParseError naming its position."""
     try:
         return int(token)
     except ValueError:
         pass
-    digits = token[1:] if token[0] in "+-" else token
-    if digits.isdecimal():
-        raise ParseError(
-            f"token {position}: {kind} too long ({len(digits)} digits, the limit is "
-            f"{sys.get_int_max_str_digits()}), got {token[:20]!r}..."
-        )
-    raise ParseError(f"token {position}: expected an {kind}, got {token!r}")
+    message = _too_long(token, kind) or f"expected an {kind}, got {token!r}"
+    raise ParseError(f"token {position}: {message}")
 
 
 def parse_word(text: str) -> BraidWord:
@@ -239,54 +244,3 @@ def subgroup_slope(u: BraidWord) -> ExtRational:
     if b == 0:
         return INFINITY
     return Fraction(a, b)
-
-
-def subgroup_normal_form(u: BraidWord) -> BraidWord:
-    """Normal form of a < dl, s > word under (dl s)^2 = 1.
-
-    Writing x = dl s (an involution), every element is an alternating word
-    in x and s-powers; spelling x back as dl s gives a canonical
-    representative.
-
-    >>> str(subgroup_normal_form(parse_word("s -1 l -1")))
-    'l 1 s 1'
-    """
-    symbols: list[Letter] = []  # ("x", 1) or ("s", e) with e != 0
-
-    def push_s(e: int) -> None:
-        if e == 0:
-            return
-        if symbols and symbols[-1][0] == "s":
-            e += symbols.pop()[1]
-            if e == 0:
-                return
-        symbols.append(("s", e))
-
-    def push_x() -> None:
-        if symbols and symbols[-1][0] == "x":
-            symbols.pop()
-        else:
-            symbols.append(("x", 1))
-
-    for name, exponent in u.letters:
-        if name == "s":
-            push_s(exponent)
-        elif name == "l":
-            if exponent > 0:
-                for _ in range(exponent):  # dl = x s^-1
-                    push_x()
-                    push_s(-1)
-            else:
-                for _ in range(-exponent):  # dl^-1 = s x
-                    push_s(1)
-                    push_x()
-        else:
-            raise DomainError("word leaves the subgroup < dl, s >")
-    letters: list[Letter] = []
-    for name, exponent in symbols:
-        if name == "x":
-            letters.append(("l", 1))
-            letters.append(("s", 1))
-        else:
-            letters.append(("s", exponent))
-    return word(letters)

@@ -16,7 +16,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from .braid import BraidWord, format_word, parse_word, reverse_word
+from .braid import BraidWord, _too_long, format_word, parse_word, reverse_word
 from .errors import DomainError, ParseError
 from .knot_families import (
     Rejection,
@@ -55,6 +55,62 @@ _TWO_BRIDGE_LABELS = (
     ("Lower semisimple tunnel:", "lower_semisimple"),
 )
 
+# Argument kinds: a braid word or a slope list spread over any number of
+# tokens, or two integer parameters, each given as (name, help text).
+_WORD = "word"
+_SLOPES = "slopes"
+_A_B = (("a", "odd parameter a >= 3"), ("b", "parameter b with 0 < b < a, coprime to a"))
+_P_Q = (("p", "coprime parameter with |p| >= 2"), ("q", "coprime parameter with |q| >= 2"))
+
+_TEXT_HELP = {
+    _WORD: "braid word, e.g. 'm 3 s -2 l 3'",
+    _SLOPES: "numerator/denominator pairs, e.g. '21 25 341 60 -13 1'",
+}
+
+
+def _commands() -> tuple:
+    """The subcommands in help order: (name, argument kind, function, help).
+
+    Built on each call, so a row holds whatever function this module's name
+    is bound to at that moment; a wrapper installed on the module attribute
+    (as the benchmark's tracer does) sees every command's call.
+    """
+    return (
+        ("upperSlopes", _WORD, upper_slopes, "slopes of the upper tunnel"),
+        ("lowerSlopes", _WORD, lower_slopes, "slopes of the lower tunnel"),
+        ("braidWord", _SLOPES, braid_from_slopes, "braid word realizing the slopes"),
+        ("dualSlopes", _SLOPES, dual_slopes, "slopes of the other tunnel"),
+        ("twoBridge", _A_B, two_bridge_tunnels, "all four tunnels of K(a, b)"),
+        ("upperSemisimpleBraidWord", _A_B, upper_semisimple_word,
+         "braid word for the upper semisimple tunnel of K(a, b)"),
+        ("lowerSimpleBraidWord", _A_B, lower_simple_word,
+         "braid word for the lower simple tunnel of K(a, b)"),
+        ("torusUpperSlopes", _P_Q, torus_upper_slopes, "upper tunnel slopes of the torus knot"),
+        ("torusLowerSlopes", _P_Q, torus_lower_slopes, "lower tunnel slopes of the torus knot"),
+        ("fullTorusBraidWord", _P_Q, torus_braid_word, "braid word for the torus knot"),
+        ("find2BridgeKnot", _SLOPES, find_two_bridge,
+         "identify the 2-bridge knot with these semisimple tunnel slopes"),
+        ("reverseBraid", _WORD, reverse_word, "reverse the braid description"),
+    )
+
+
+def _integer(text: str) -> int:
+    """The argparse type of integer parameters; an overlong one is not echoed whole."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(_too_long(text, "integer") or f"invalid int value: {text!r}")
+
+
+def _inputs(args: argparse.Namespace) -> tuple:
+    """The library function's arguments, parsed from the command line."""
+    if args.kind == _WORD:
+        return (parse_word(" ".join(args.word)),)
+    if args.kind == _SLOPES:
+        return (parse_slopes(" ".join(args.slopes)),)
+    return tuple(getattr(args, name) for name, _ in args.kind)
+
 
 def _slope_arrays(seq: SlopeSequence) -> dict:
     if not seq:
@@ -65,103 +121,32 @@ def _slope_arrays(seq: SlopeSequence) -> dict:
     }
 
 
-def _print_json(payload: dict) -> None:
+def _render(result, json_mode: bool) -> str:
+    """The whole output for a command's result, as text or one JSON object."""
+    if isinstance(result, SlopeSequence):
+        text = format_slopes(result) if result else TRIVIAL_TEXT
+        payload = _slope_arrays(result)
+    elif isinstance(result, BraidWord):
+        text = format_word(result)
+        payload = {"word": text}
+    elif isinstance(result, TwoBridgeReport):
+        text = "\n".join(
+            f"{label:<25}{format_slopes(getattr(result, field))}"
+            for label, field in _TWO_BRIDGE_LABELS
+        )
+        payload = {field: _slope_arrays(getattr(result, field)) for _, field in _TWO_BRIDGE_LABELS}
+    elif isinstance(result, Rejection):
+        text = result.message
+        payload = {"matched": False, "condition": result.condition, "message": result.message}
+    else:  # a find_two_bridge match (K(a, b), K(a, b'))
+        knot, dual = result
+        text = SUCCESS_SENTENCE.format(a=knot.a, b=knot.b, b2=dual.b)
+        payload = {"matched": True, "a": knot.a, "b": knot.b, "dual_b": dual.b}
+    if not json_mode:
+        return text
     import json  # only --json output needs it; a plain run starts without it
 
-    print(json.dumps(payload))
-
-
-def _emit_slopes(seq: SlopeSequence, json_mode: bool) -> None:
-    if json_mode:
-        _print_json(_slope_arrays(seq))
-    elif seq:
-        print(format_slopes(seq))
-    else:
-        print(TRIVIAL_TEXT)
-
-
-def _emit_word(w: BraidWord, json_mode: bool) -> None:
-    if json_mode:
-        _print_json({"word": format_word(w)})
-    else:
-        print(format_word(w))
-
-
-def _emit_two_bridge(report: TwoBridgeReport, json_mode: bool) -> None:
-    if json_mode:
-        payload = {
-            field: _slope_arrays(getattr(report, field))
-            for _, field in _TWO_BRIDGE_LABELS
-        }
-        _print_json(payload)
-        return
-    for label, field in _TWO_BRIDGE_LABELS:
-        print(f"{label:<25}{format_slopes(getattr(report, field))}")
-
-
-def _cmd_upper_slopes(args: argparse.Namespace) -> None:
-    _emit_slopes(upper_slopes(parse_word(" ".join(args.word))), args.json)
-
-
-def _cmd_lower_slopes(args: argparse.Namespace) -> None:
-    _emit_slopes(lower_slopes(parse_word(" ".join(args.word))), args.json)
-
-
-def _cmd_braid_word(args: argparse.Namespace) -> None:
-    _emit_word(braid_from_slopes(parse_slopes(" ".join(args.slopes))), args.json)
-
-
-def _cmd_dual_slopes(args: argparse.Namespace) -> None:
-    _emit_slopes(dual_slopes(parse_slopes(" ".join(args.slopes))), args.json)
-
-
-def _cmd_two_bridge(args: argparse.Namespace) -> None:
-    _emit_two_bridge(two_bridge_tunnels(args.a, args.b), args.json)
-
-
-def _cmd_upper_semisimple_word(args: argparse.Namespace) -> None:
-    _emit_word(upper_semisimple_word(args.a, args.b), args.json)
-
-
-def _cmd_lower_simple_word(args: argparse.Namespace) -> None:
-    _emit_word(lower_simple_word(args.a, args.b), args.json)
-
-
-def _cmd_torus_upper(args: argparse.Namespace) -> None:
-    _emit_slopes(torus_upper_slopes(args.p, args.q), args.json)
-
-
-def _cmd_torus_lower(args: argparse.Namespace) -> None:
-    _emit_slopes(torus_lower_slopes(args.p, args.q), args.json)
-
-
-def _cmd_torus_word(args: argparse.Namespace) -> None:
-    _emit_word(torus_braid_word(args.p, args.q), args.json)
-
-
-def _cmd_find_two_bridge(args: argparse.Namespace) -> None:
-    result = find_two_bridge(parse_slopes(" ".join(args.slopes)))
-    if isinstance(result, Rejection):
-        if args.json:
-            _print_json(
-                {
-                    "matched": False,
-                    "condition": result.condition,
-                    "message": result.message,
-                }
-            )
-        else:
-            print(result.message)
-        return
-    knot, dual = result
-    if args.json:
-        _print_json({"matched": True, "a": knot.a, "b": knot.b, "dual_b": dual.b})
-    else:
-        print(SUCCESS_SENTENCE.format(a=knot.a, b=knot.b, b2=dual.b))
-
-
-def _cmd_reverse_braid(args: argparse.Namespace) -> None:
-    _emit_word(reverse_word(parse_word(" ".join(args.word))), args.json)
+    return json.dumps(payload)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -174,76 +159,36 @@ def build_parser() -> argparse.ArgumentParser:
         description="Slope invariants of (1,1)-knot tunnels from braid words.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def word_command(name: str, run, help_text: str) -> None:
+    for name, kind, run, help_text in _commands():
         p = sub.add_parser(name, parents=[common], help=help_text)
-        p.add_argument("word", nargs="*", help="braid word, e.g. 'm 3 s -2 l 3'")
-        p.set_defaults(run=run)
-
-    def slopes_command(name: str, run, help_text: str) -> None:
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        p.add_argument(
-            "slopes",
-            nargs="*",
-            help="numerator/denominator pairs, e.g. '21 25 341 60 -13 1'",
-        )
-        p.set_defaults(run=run)
-
-    def two_bridge_command(name: str, run, help_text: str) -> None:
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        p.add_argument("a", type=int, help="odd parameter a >= 3")
-        p.add_argument("b", type=int, help="parameter b with 0 < b < a, coprime to a")
-        p.set_defaults(run=run)
-
-    def torus_command(name: str, run, help_text: str) -> None:
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        p.add_argument("p", type=int, help="coprime parameter with |p| >= 2")
-        p.add_argument("q", type=int, help="coprime parameter with |q| >= 2")
-        p.set_defaults(run=run)
-
-    word_command("upperSlopes", _cmd_upper_slopes, "slopes of the upper tunnel")
-    word_command("lowerSlopes", _cmd_lower_slopes, "slopes of the lower tunnel")
-    slopes_command("braidWord", _cmd_braid_word, "braid word realizing the slopes")
-    slopes_command("dualSlopes", _cmd_dual_slopes, "slopes of the other tunnel")
-    two_bridge_command("twoBridge", _cmd_two_bridge, "all four tunnels of K(a, b)")
-    two_bridge_command(
-        "upperSemisimpleBraidWord",
-        _cmd_upper_semisimple_word,
-        "braid word for the upper semisimple tunnel of K(a, b)",
-    )
-    two_bridge_command(
-        "lowerSimpleBraidWord",
-        _cmd_lower_simple_word,
-        "braid word for the lower simple tunnel of K(a, b)",
-    )
-    torus_command(
-        "torusUpperSlopes", _cmd_torus_upper, "upper tunnel slopes of the torus knot"
-    )
-    torus_command(
-        "torusLowerSlopes", _cmd_torus_lower, "lower tunnel slopes of the torus knot"
-    )
-    torus_command(
-        "fullTorusBraidWord", _cmd_torus_word, "braid word for the torus knot"
-    )
-    slopes_command(
-        "find2BridgeKnot",
-        _cmd_find_two_bridge,
-        "identify the 2-bridge knot with these semisimple tunnel slopes",
-    )
-    word_command("reverseBraid", _cmd_reverse_braid, "reverse the braid description")
+        if kind in _TEXT_HELP:
+            p.add_argument(kind, nargs="*", help=_TEXT_HELP[kind])
+        else:
+            for param, param_help in kind:
+                p.add_argument(param, type=_integer, help=param_help)
+        p.set_defaults(run=run, kind=kind)
     return parser
+
+
+def _fail(message: object, code: int) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.run(args)
+        result = args.run(*_inputs(args))
     except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(exc, 2)
     except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _fail(exc, 1)
+    try:
+        output = _render(result, args.json)
+    except ValueError:  # an integer over Python's limit on int-to-str conversion
+        limit = sys.get_int_max_str_digits()
+        return _fail(f"the result has an integer too long to print (the limit is {limit} digits)", 1)
+    print(output)
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Exact arithmetic: extended rationals, 2x2 integer matrices, continued fractions.
+"""Exact arithmetic: extended rationals, simple slopes, continued fractions.
 
 This module also holds ``_Value``, the base of the package's immutable value
 classes.
@@ -28,10 +28,6 @@ from .errors import DomainError
 __all__ = [
     "INFINITY",
     "ExtRational",
-    "Mat2",
-    "MAT_IDENTITY",
-    "MAT_U",
-    "MAT_L",
     "SimpleSlope",
     "cf_eval",
     "expand_odd_numerator",
@@ -90,50 +86,6 @@ class _Value:
     def __reduce__(self) -> tuple:
         # the raising __setattr__ rules out pickle's default slot restore
         return (type(self), self._fields())
-
-
-class Mat2(_Value):
-    """A 2x2 integer matrix [[a, b], [c, d]], row major."""
-
-    __slots__ = ("a", "b", "c", "d")
-
-    def __init__(self, a: int, b: int, c: int, d: int) -> None:
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
-
-    def __mul__(self, other: "Mat2") -> "Mat2":
-        return Mat2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def __pow__(self, n: int) -> "Mat2":
-        if n < 0:
-            if self.det() != 1:
-                raise DomainError("negative power needs determinant 1")
-            return Mat2(self.d, -self.b, -self.c, self.a) ** (-n)
-        result, base = MAT_IDENTITY, self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def det(self) -> int:
-        return self.a * self.d - self.b * self.c
-
-    def column(self, j: int) -> tuple[int, int]:
-        return (self.a, self.c) if j == 0 else (self.b, self.d)
-
-
-MAT_IDENTITY = Mat2(1, 0, 0, 1)
-MAT_U = Mat2(1, 1, 0, 1)
-MAT_L = Mat2(1, 0, 1, 1)
 
 
 class SimpleSlope(_Value):

@@ -18,7 +18,7 @@ import math
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .braid import BraidWord, word
+from .braid import BraidWord, reverse_word, word
 from .errors import DomainError
 from .exact_arith import (
     SimpleSlope,
@@ -140,16 +140,11 @@ def upper_semisimple_word(a: int, b: int) -> BraidWord:
 def lower_simple_word(a: int, b: int) -> BraidWord:
     """A braid word whose upper tunnel is the lower simple tunnel of K(a, b).
 
-    The word spells the even-odd expansion of a/b right to left after a
-    single dm^-1, so its upper slope sequence is the lone class [b/a].
+    It is the reverse of upper_semisimple_word(a, b): the position with the
+    upper semisimple tunnel on top has the lower simple tunnel below, so the
+    reversed word's upper slope sequence is the lone class [b/a].
     """
-    TwoBridge(a, b)
-    cf = expand_odd_numerator(Fraction(a, b))
-    letters: list[tuple[str, int]] = [("m", -1)]
-    for j in range(len(cf) - 2, -1, -2):
-        letters.append(("s", cf[j + 1]))
-        letters.append(("l", -(cf[j] // 2)))
-    return word(letters)
+    return reverse_word(upper_semisimple_word(a, b))
 
 
 def semisimple_slopes_closed_form(a: int, b: int) -> SlopeSequence:

@@ -4,8 +4,53 @@ import contextlib
 import io
 from fractions import Fraction
 
-from tunnel_slopes import INFINITY, MAT_IDENTITY, MAT_L, MAT_U
+from tunnel_slopes import DomainError
 from tunnel_slopes.cli import main
+from tunnel_slopes.exact_arith import INFINITY, _Value
+
+
+class Mat2(_Value):
+    """A 2x2 integer matrix [[a, b], [c, d]], row major."""
+
+    __slots__ = ("a", "b", "c", "d")
+
+    def __init__(self, a: int, b: int, c: int, d: int) -> None:
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
+
+    def __mul__(self, other: "Mat2") -> "Mat2":
+        return Mat2(
+            self.a * other.a + self.b * other.c,
+            self.a * other.b + self.b * other.d,
+            self.c * other.a + self.d * other.c,
+            self.c * other.b + self.d * other.d,
+        )
+
+    def __pow__(self, n: int) -> "Mat2":
+        if n < 0:
+            if self.det() != 1:
+                raise DomainError("negative power needs determinant 1")
+            return Mat2(self.d, -self.b, -self.c, self.a) ** (-n)
+        result, base = MAT_IDENTITY, self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    def det(self) -> int:
+        return self.a * self.d - self.b * self.c
+
+    def column(self, j: int) -> tuple[int, int]:
+        return (self.a, self.c) if j == 0 else (self.b, self.d)
+
+
+MAT_IDENTITY = Mat2(1, 0, 0, 1)
+MAT_U = Mat2(1, 1, 0, 1)
+MAT_L = Mat2(1, 0, 1, 1)
 
 
 def matrix_cf_value(entries):

@@ -1,8 +1,7 @@
 """Randomized checking tools: relator fuzzing and reproducible random inputs.
 
 Everything here is deterministic in a seed, so a failing case can be
-replayed from its seed alone.  These helpers support the test suite; none
-of them is needed to compute slopes.
+replayed from its seed alone.
 """
 
 from __future__ import annotations
@@ -13,20 +12,9 @@ from math import gcd
 from random import Random
 from typing import Sequence
 
-from .braid import BraidWord, Letter, word
-from .errors import DomainError
-from .exact_arith import SimpleSlope, _Value, cf_eval
-from .slope_engine import SlopeSequence
-
-__all__ = [
-    "RELATORS",
-    "FuzzPlan",
-    "apply_fuzz",
-    "random_fuzz_plan",
-    "random_valid_slopes",
-    "random_subgroup_word",
-    "brute_force_cf_search",
-]
+from tunnel_slopes import BraidWord, DomainError, SimpleSlope, SlopeSequence
+from tunnel_slopes.braid import Letter, word
+from tunnel_slopes.exact_arith import _Value, cf_eval
 
 # Each value spells a word equal to the identity: (dm s)^2, (dl s)^2, and
 # s^-2 dm^-1 dl dm dl^-1.

@@ -6,17 +6,13 @@ import time
 from fractions import Fraction
 
 from conftest import matrix_cf_value, run_cli
+from fuzzing import apply_fuzz, random_fuzz_plan, random_subgroup_word, random_valid_slopes
 from tunnel_slopes import (
-    INFINITY,
     TwoBridge,
     braid_from_slopes,
-    cf_eval,
-    expand_all_even,
-    expand_odd_numerator,
     find_two_bridge,
     is_toroidal,
     lower_slopes,
-    mod_inverse,
     parse_slopes,
     parse_word,
     semisimple_slopes_closed_form,
@@ -25,14 +21,14 @@ from tunnel_slopes import (
     torus_upper_slopes,
     upper_semisimple_word,
     upper_slopes,
-    winding_number,
-    word,
 )
-from tunnel_slopes.verify import (
-    apply_fuzz,
-    random_fuzz_plan,
-    random_subgroup_word,
-    random_valid_slopes,
+from tunnel_slopes.braid import winding_number, word
+from tunnel_slopes.exact_arith import (
+    INFINITY,
+    cf_eval,
+    expand_all_even,
+    expand_odd_numerator,
+    mod_inverse,
 )
 
 MAIN_WORD = "m 3 s -2 l 3 s -4 m -1 s -4 l 3".split()

@@ -8,21 +8,64 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tunnel_slopes import (
-    INFINITY,
-    BraidWord,
-    DomainError,
-    ParseError,
+from tunnel_slopes import BraidWord, DomainError, ParseError, format_word, parse_word, reverse_word
+from tunnel_slopes.braid import (
+    Letter,
     double_coset_trim,
-    format_word,
-    parse_word,
-    reverse_word,
     segment,
-    subgroup_normal_form,
     subgroup_slope,
     winding_number,
     word,
 )
+from tunnel_slopes.exact_arith import INFINITY
+
+
+def subgroup_normal_form(u: BraidWord) -> BraidWord:
+    """Normal form of a < dl, s > word under (dl s)^2 = 1.
+
+    Writing x = dl s (an involution), every element is an alternating word
+    in x and s-powers; spelling x back as dl s gives a canonical
+    representative.  An oracle for subgroup_slope, which it must preserve.
+    """
+    symbols: list[Letter] = []  # ("x", 1) or ("s", e) with e != 0
+
+    def push_s(e: int) -> None:
+        if e == 0:
+            return
+        if symbols and symbols[-1][0] == "s":
+            e += symbols.pop()[1]
+            if e == 0:
+                return
+        symbols.append(("s", e))
+
+    def push_x() -> None:
+        if symbols and symbols[-1][0] == "x":
+            symbols.pop()
+        else:
+            symbols.append(("x", 1))
+
+    for name, exponent in u.letters:
+        if name == "s":
+            push_s(exponent)
+        elif name == "l":
+            if exponent > 0:
+                for _ in range(exponent):  # dl = x s^-1
+                    push_x()
+                    push_s(-1)
+            else:
+                for _ in range(-exponent):  # dl^-1 = s x
+                    push_s(1)
+                    push_x()
+        else:
+            raise DomainError("word leaves the subgroup < dl, s >")
+    letters: list[Letter] = []
+    for name, exponent in symbols:
+        if name == "x":
+            letters.append(("l", 1))
+            letters.append(("s", 1))
+        else:
+            letters.append(("s", exponent))
+    return word(letters)
 
 
 def test_word_merges_adjacent_like_generators():

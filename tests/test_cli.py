@@ -172,10 +172,22 @@ def test_json_arrays_rebuild_the_text_output():
 
 
 def test_domain_error_exits_one():
-    code, out, err = run_cli(["twoBridge", "4", "1"])
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error:")
+    limit = sys.get_int_max_str_digits()
+    # parameters under the int-to-str limit (2580 nines at the default 4300)
+    # whose products in the result are over it
+    nines = "9" * (limit * 3 // 5)
+    overlong = ["upperSlopes", "m", "1", "s", nines, "l", nines, "s", "3", "l", nines, "s", nines]
+    too_long = f"the result has an integer too long to print (the limit is {limit} digits)"
+    for argv, message in [
+        (["twoBridge", "4", "1"], "a must be odd and at least 3"),
+        (overlong, too_long),
+        (overlong + ["--json"], too_long),
+    ]:
+        code, out, err = run_cli(argv)
+        assert code == 1, argv[:3]
+        assert out == ""
+        assert err.startswith("error:") and message in err
+        assert "Traceback" not in err
 
 
 def test_parse_error_exits_two():
@@ -189,6 +201,14 @@ def test_unknown_command_exits_two():
     with pytest.raises(SystemExit) as info:
         run_cli(["noSuchCommand"])
     assert info.value.code == 2
+
+
+def test_overlong_integer_parameter_is_not_echoed():
+    digits = sys.get_int_max_str_digits() + 1
+    code, out, err = _run_to_exit(["twoBridge", "7" * digits, "2"])
+    assert (code, out) == (2, "")
+    assert len(err.encode()) < 300
+    assert f"argument a: integer too long ({digits} digits, the limit is " in err
 
 
 def test_module_entry_point_runs_in_subprocess():

@@ -8,15 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import matrix_cf_value
-from tunnel_slopes import (
+from conftest import MAT_IDENTITY, MAT_L, MAT_U, Mat2, matrix_cf_value
+from tunnel_slopes import DomainError, SimpleSlope
+from tunnel_slopes.exact_arith import (
     INFINITY,
-    MAT_IDENTITY,
-    MAT_L,
-    MAT_U,
-    DomainError,
-    Mat2,
-    SimpleSlope,
     cf_eval,
     expand_all_even,
     expand_odd_numerator,

@@ -28,6 +28,8 @@ from tunnel_slopes import (
     upper_semisimple_word,
     upper_slopes,
 )
+from tunnel_slopes.braid import word
+from tunnel_slopes.exact_arith import expand_odd_numerator
 
 
 def test_two_bridge_validation_and_dual():
@@ -78,6 +80,23 @@ def test_closed_form_agrees_with_engine_on_sample():
             closed = semisimple_slopes_closed_form(a, b)
             engine = upper_slopes(upper_semisimple_word(a, b))
             assert closed == engine, (a, b)
+
+
+def _lower_simple_word_by_letters(a, b):
+    """dm^-1, then the even-odd expansion of a/b spelled right to left."""
+    cf = expand_odd_numerator(Fraction(a, b))
+    letters = [("m", -1)]
+    for j in range(len(cf) - 2, -1, -2):
+        letters.append(("s", cf[j + 1]))
+        letters.append(("l", -(cf[j] // 2)))
+    return word(letters)
+
+
+def test_lower_simple_word_matches_its_letter_spelling():
+    for a in range(3, 200, 2):
+        for b in range(1, a):
+            if math.gcd(a, b) == 1:
+                assert lower_simple_word(a, b) == _lower_simple_word_by_letters(a, b), (a, b)
 
 
 def test_lower_simple_word_relations():

@@ -21,11 +21,11 @@ from tunnel_slopes import (
     lower_slopes,
     parse_slopes,
     parse_word,
-    peephole,
     reverse_word,
     upper_slopes,
-    word,
 )
+from tunnel_slopes.braid import word
+from tunnel_slopes.slope_engine import peephole
 
 WORKED_WORD = "m -1 s -1 l 1 m -1 s 3 l -1"
 MAIN_WORD = "m 3 s -2 l 3 s -4 m -1 s -4 l 3"

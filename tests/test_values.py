@@ -11,10 +11,11 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import Mat2
+from fuzzing import FuzzPlan
 from tunnel_slopes import (
     BraidWord,
     DomainError,
-    Mat2,
     Rejection,
     SimpleSlope,
     SlopeSequence,
@@ -22,7 +23,6 @@ from tunnel_slopes import (
     TwoBridgeReport,
     two_bridge_tunnels,
 )
-from tunnel_slopes.verify import FuzzPlan
 
 REPORT = two_bridge_tunnels(7, 3)
 

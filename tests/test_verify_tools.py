@@ -5,18 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from tunnel_slopes import (
-    DomainError,
-    braid_from_slopes,
-    cf_eval,
-    expand_odd_numerator,
-    lower_slopes,
-    parse_word,
-    upper_slopes,
-    winding_number,
-    word,
-)
-from tunnel_slopes.verify import (
+from fuzzing import (
     RELATORS,
     FuzzPlan,
     apply_fuzz,
@@ -25,6 +14,9 @@ from tunnel_slopes.verify import (
     random_subgroup_word,
     random_valid_slopes,
 )
+from tunnel_slopes import DomainError, braid_from_slopes, lower_slopes, parse_word, upper_slopes
+from tunnel_slopes.braid import winding_number, word
+from tunnel_slopes.exact_arith import cf_eval, expand_odd_numerator
 
 
 def test_relators_act_trivially():
