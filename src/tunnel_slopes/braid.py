@@ -66,17 +66,20 @@ def word(letters: Iterable[Letter]) -> BraidWord:
     for name, exponent in letters:
         if name not in GENERATORS:
             raise DomainError(f"unknown generator {name!r}")
-        if exponent == 0:
-            continue
-        while stack and stack[-1][0] == name:
-            exponent += stack.pop()[1]
-            if exponent == 0:
-                if not stack:
-                    break
-                name, exponent = stack.pop()
-        if exponent != 0:
-            stack.append((name, exponent))
+        _push(stack, name, exponent)
     return BraidWord(tuple(stack))
+
+
+def _push(stack: list[Letter], name: str, exponent: int) -> None:
+    """Append a letter to a canonical letter stack, merging it into the top.
+
+    The stack stays canonical: a top of the same name absorbs the exponent
+    and is dropped when it reaches zero, exposing a letter of another name.
+    """
+    if stack and stack[-1][0] == name:
+        exponent += stack.pop()[1]
+    if exponent:
+        stack.append((name, exponent))
 
 
 def _too_long(token: str, kind: str) -> Optional[str]:
@@ -179,47 +182,31 @@ def double_coset_trim(w: BraidWord) -> BraidWord:
     return word(letters[start:end])
 
 
-def _expand_negative_m(letters: Iterable[Letter]) -> BraidWord:
-    """Rewrite each dm^-k (k > 0) as (s dm s)^k so dm appears only positively."""
-    rewritten: list[Letter] = []
-    for name, exponent in letters:
-        if name == "m" and exponent < 0:
-            k = -exponent
-            rewritten.append(("s", 1))
-            for _ in range(k - 1):
-                rewritten.append(("m", 1))
-                rewritten.append(("s", 2))
-            rewritten.append(("m", 1))
-            rewritten.append(("s", 1))
-        else:
-            rewritten.append((name, exponent))
-    return word(rewritten)
-
-
 def segment(w: BraidWord) -> Optional[list[BraidWord]]:
     """Split a word at its dm letters into subgroup segments.
 
-    After trimming and rewriting dm to positive exponents, the word has the
-    form dm s u_d dm s u_{d-1} ... dm s u_0 with each u_i in < dl, s >;
-    the returned list holds the segments s^-1 u_i indexed from the right,
-    so segment(w)[0] is the rightmost.  Returns None when the word trims to
-    nothing (the trivial knot).
+    Reading each dm^-k as (s dm s)^k, the trimmed word has the form
+    dm s u_d dm s u_{d-1} ... dm s u_0 with each u_i in < dl, s >; the
+    returned list holds the segments s^-1 u_i indexed from the right, so
+    segment(w)[0] is the rightmost.  So dm^k opens k pieces, and dm^-k
+    closes the current piece with s (trimming puts a dm first, so the first
+    letter has no piece to close) and opens k - 1 pieces with s^2 and one
+    with s.  Returns None when the word trims to nothing (the trivial knot).
     """
     trimmed = double_coset_trim(w)
     if not trimmed:
         return None
-    expanded = double_coset_trim(_expand_negative_m(trimmed.letters))
-    assert expanded, "a nontrivial word stays nontrivial under rewriting"
     pieces: list[list[Letter]] = []
-    for name, exponent in expanded.letters:
-        if name == "m":
-            assert exponent > 0
-            for _ in range(exponent):
-                pieces.append([])
-        else:
-            if not pieces:  # cannot happen after trimming
-                raise DomainError("word does not start with dm after trimming")
+    for name, exponent in trimmed.letters:
+        if name != "m":
             pieces[-1].append((name, exponent))
+        elif exponent > 0:
+            pieces.extend([] for _ in range(exponent))
+        else:
+            if pieces:
+                pieces[-1].append(("s", 1))
+            pieces.extend([("s", 2)] for _ in range(-exponent - 1))
+            pieces.append([("s", 1)])
     return [word([("s", -1)] + piece) for piece in reversed(pieces)]
 
 

@@ -261,7 +261,9 @@ def staircase(p: int, q: int) -> tuple[int, ...]:
     >>> staircase(13, 5)
     (0, 3, 6, 8, 11, 13)
     """
-    assert p >= 2 and q >= 2 and math.gcd(p, q) == 1
+    _check_torus(p, q)
+    if p < 0 or q < 0:
+        raise DomainError("the staircase needs positive p and q")
     return tuple(-((-k * p) // q) for k in range(q + 1))
 
 

@@ -14,7 +14,9 @@ from typing import Optional, Sequence
 
 from .braid import (
     BraidWord,
+    Letter,
     _parse_int,
+    _push,
     reverse_word,
     segment,
     subgroup_slope,
@@ -158,8 +160,6 @@ def upper_slopes(w: BraidWord) -> SlopeSequence:
     neighbor, until the sequence is in its reduced form (possibly empty).
     """
     omegas = segment(w)
-    if omegas is None:
-        return SlopeSequence()
     while omegas:
         slopes = _segment_slopes(omegas)
         infinite = next((i for i, s in enumerate(slopes) if s is INFINITY), None)
@@ -168,14 +168,10 @@ def upper_slopes(w: BraidWord) -> SlopeSequence:
         elif abs(slopes[0].numerator) == 1:
             omegas = _absorb_first(omegas)
         else:
-            break
-    if not omegas:
-        return SlopeSequence()
-    slopes = _segment_slopes(omegas)
-    s0 = slopes[0]
-    assert isinstance(s0, Fraction) and abs(s0.numerator) >= 3
-    first = SimpleSlope.from_fraction(Fraction(s0.denominator, s0.numerator))
-    return SlopeSequence(first, tuple(slopes[1:]))
+            s0 = slopes[0]
+            first = SimpleSlope.from_fraction(Fraction(s0.denominator, s0.numerator))
+            return SlopeSequence(first, tuple(slopes[1:]))
+    return SlopeSequence()
 
 
 def lower_slopes(w: BraidWord) -> SlopeSequence:
@@ -212,26 +208,20 @@ def peephole(w: BraidWord) -> BraidWord:
     Each rewrite replaces s^a g s^b (with a, b positive and g a single
     generator) by s^(a-1) g^-1 s^(b-1), or the mirror image for negative
     exponents; the total s-weight drops by two each time, so this stops.
+    One pass pushes the letters on a stack, rewriting its top while it matches.
     """
-    letters = list(w.letters)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(letters) - 2):
-            (n1, a), (g, e), (n2, b) = letters[i], letters[i + 1], letters[i + 2]
-            if n1 != "s" or n2 != "s" or g == "s" or abs(e) != 1:
-                continue
-            if e == 1 and a >= 1 and b >= 1:
-                patch = [("s", a - 1), (g, -1), ("s", b - 1)]
-            elif e == -1 and a <= -1 and b <= -1:
-                patch = [("s", a + 1), (g, 1), ("s", b + 1)]
-            else:
-                continue
-            letters[i : i + 3] = patch
-            letters = list(word(letters).letters)
-            changed = True
-            break
-    return BraidWord(tuple(letters))
+    stack: list[Letter] = []
+    for name, exponent in w.letters:
+        _push(stack, name, exponent)
+        while len(stack) >= 3:
+            (n1, a), (g, e), (n2, b) = stack[-3:]
+            if n1 != "s" or n2 != "s" or abs(e) != 1 or a * e < 0 or b * e < 0:
+                break
+            del stack[-3:]
+            _push(stack, "s", a - e)
+            _push(stack, g, -e)
+            _push(stack, "s", b - e)
+    return BraidWord(tuple(stack))
 
 
 def dual_slopes(seq: SlopeSequence) -> SlopeSequence:

@@ -182,6 +182,10 @@ def test_segment_pinned_values():
     ]
     assert segment(parse_word("l 3 s 1 m -2")) is None
     assert [format_word(p) for p in segment(parse_word("m 1 l -1"))] == ["s -1 l -1"]
+    pieces = segment(parse_word("m -3 s 1 l 1"))
+    assert [format_word(p) for p in pieces] == ["s 1 l 1", "s 1", "s 1"]
+    pieces = segment(parse_word("m 2 s 3 l -1 m -3 l 1"))
+    assert [format_word(p) for p in pieces] == ["l 1", "s 1", "s 1", "s 2 l -1 s 1", "s -1"]
 
 
 def test_subgroup_slope_pinned_values():

@@ -148,6 +148,12 @@ def test_staircase_pinned_values():
     assert staircase(2, 3) == (0, 1, 2, 2)
 
 
+@pytest.mark.parametrize("p, q", [(2, 4), (-3, 5), (5, 1)])
+def test_staircase_rejects_bad_parameters(p, q):
+    with pytest.raises(DomainError):
+        staircase(p, q)
+
+
 def test_torus_braid_word_pinned_values():
     assert (
         format_word(torus_braid_word(13, 5))

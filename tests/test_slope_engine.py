@@ -142,6 +142,9 @@ def test_peephole_pinned_values():
     assert format_word(peephole(parse_word("s -2 l -1 s -1 m 2"))) == "s -1 l 1 m 2"
     assert peephole(word([])) == word([])
     assert format_word(peephole(parse_word("m 2 l 3"))) == "m 2 l 3"
+    assert format_word(peephole(parse_word("s 1 m 1 s 1 m -1 s 1"))) == "m -2 s 1"
+    assert format_word(peephole(parse_word("s 1 m 1 s 2 m 1 s 1"))) == "m -2"
+    assert format_word(peephole(parse_word("s -1 m -1 s -2 l -1 s -1"))) == "m 1 l 1"
 
 
 def _s_weight(w):
