@@ -22,6 +22,7 @@ from .exact_arith import INFINITY, ExtRational, _Value
 
 __all__ = [
     "GENERATORS",
+    "SIZE_LIMIT",
     "Letter",
     "BraidWord",
     "word",
@@ -35,6 +36,11 @@ __all__ = [
 ]
 
 GENERATORS = ("m", "l", "s")
+
+# The most segments a word may split into, and the largest torus parameter
+# |p| or |q|: each makes a list of that many items, so input past the limit
+# is refused before anything is built.
+SIZE_LIMIT = 65536
 
 Letter = tuple[str, int]
 
@@ -192,10 +198,16 @@ def segment(w: BraidWord) -> Optional[list[BraidWord]]:
     closes the current piece with s (trimming puts a dm first, so the first
     letter has no piece to close) and opens k - 1 pieces with s^2 and one
     with s.  Returns None when the word trims to nothing (the trivial knot).
+
+    Either way dm^+-k makes k pieces; a word that would make more than
+    SIZE_LIMIT raises DomainError before any piece is built.
     """
     trimmed = double_coset_trim(w)
     if not trimmed:
         return None
+    if sum(abs(k) for name, k in trimmed.letters if name == "m") > SIZE_LIMIT:
+        # the count itself may be too long to print
+        raise DomainError(f"the word has more than {SIZE_LIMIT} segments (the size limit)")
     pieces: list[list[Letter]] = []
     for name, exponent in trimmed.letters:
         if name != "m":

@@ -146,11 +146,6 @@ def _nearest_even(x: Fraction) -> int:
     return 2 * math.ceil(Fraction(x - 1, 2))
 
 
-def _nearest_int(x: Fraction) -> int:
-    """Integer nearest to x; a tie (x a half-integer) takes the floor."""
-    return math.ceil(x - Fraction(1, 2))
-
-
 def expand_odd_numerator(x: Fraction | int) -> tuple[int, ...]:
     """Greedy expansion of x in the even-odd shape [2a1, b1, ..., 2an, bn].
 
@@ -162,19 +157,24 @@ def expand_odd_numerator(x: Fraction | int) -> tuple[int, ...]:
     Requires x with odd numerator; cf_eval of the result equals x exactly.
     """
     x = Fraction(x)
-    if x.numerator % 2 == 0:
+    p, q = x.numerator, x.denominator
+    if p % 2 == 0:
         raise DomainError(f"{x} has even numerator, no even-odd expansion exists")
     entries: list[int] = []
     while True:
-        a2 = _nearest_even(x)
+        # x = p/q with q > 0 and p odd throughout the a-steps
+        a2 = -2 * ((q - p) // (2 * q))
         entries.append(a2)
-        x = 1 / (x - a2)  # odd numerator keeps the remainder nonzero
-        b = _nearest_int(x)
+        p, q = q, p - a2 * q  # odd p keeps the remainder nonzero
+        if q < 0:
+            p, q = -p, -q
+        b = -((q - 2 * p) // (2 * q))
         entries.append(b)
-        remainder = x - b
-        if not remainder:
+        p, q = q, p - b * q
+        if not q:
             return tuple(entries)
-        x = 1 / remainder
+        if q < 0:
+            p, q = -p, -q
 
 
 def expand_all_even(a: int, b: int) -> tuple[int, ...]:

@@ -18,7 +18,7 @@ import math
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .braid import BraidWord, reverse_word, word
+from .braid import SIZE_LIMIT, BraidWord, reverse_word, word
 from .errors import DomainError
 from .exact_arith import (
     SimpleSlope,
@@ -251,6 +251,10 @@ def find_two_bridge(
 def _check_torus(p: int, q: int) -> None:
     if abs(p) < 2 or abs(q) < 2:
         raise DomainError("torus parameters need |p| and |q| at least 2")
+    if abs(p) > SIZE_LIMIT or abs(q) > SIZE_LIMIT:
+        raise DomainError(
+            f"torus parameters need |p| and |q| at most {SIZE_LIMIT} (the size limit)"
+        )
     if math.gcd(p, q) != 1:
         raise DomainError(f"{p} and {q} are not coprime")
 

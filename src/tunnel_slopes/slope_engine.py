@@ -183,23 +183,38 @@ def braid_from_slopes(seq: SlopeSequence) -> BraidWord:
     """A braid word whose upper tunnel has the given slope sequence.
 
     The empty sequence yields the empty word.  Each slope is spelled from
-    its even-odd continued fraction as a block dm s^(1+bn) dl^-an ... s^b1
-    dl^-a1, and each block after the first is corrected on the right by the
-    winding of the word built so far.
+    its even-odd continued fraction as S = dm s^(1+bn) dl^-an ... s^b1
+    dl^-a1.  The blocks are laid right to left: block i is S_i dl^t, where
+    t is the winding of the word R already built to its right.  Winding is
+    a homomorphism, w(AB) = w(A) + (-1)^s(A) w(B) with s(A) the total
+    s-exponent of A, so with e = (-1)^s(S_i)
+
+        w(S_i dl^t R) = (w(S_i) - e t) + e t = w(S_i).
+
+    Each block's correction is therefore the winding of the previous
+    block's spelling alone, one integer carried from block to block.  The
+    word is canonicalized once, then shrunk by peephole.
     """
     if not seq:
         return BraidWord()
     targets: list[Fraction] = [Fraction(seq.first.q, seq.first.p), *seq.rest]
-    result = BraidWord()
+    blocks: list[list[Letter]] = []
+    twist = 0
     for target in targets:
         cf = expand_odd_numerator(target)
-        letters: list[tuple[str, int]] = [("m", 1), ("s", 1)]
+        letters: list[Letter] = [("m", 1), ("s", 1)]
+        winding, s_parity = 0, -1
         for j in range(len(cf) - 2, -1, -2):
-            letters.append(("s", cf[j + 1]))
-            letters.append(("l", -(cf[j] // 2)))
-        letters.append(("l", winding_number(result)))
-        result = word(letters) * result
-    return peephole(result)
+            b, a = cf[j + 1], cf[j] // 2
+            letters.append(("s", b))
+            letters.append(("l", -a))
+            if b % 2:
+                s_parity = -s_parity
+            winding += s_parity * a
+        letters.append(("l", twist))
+        blocks.append(letters)
+        twist = winding
+    return peephole(word([letter for block in reversed(blocks) for letter in block]))
 
 
 def peephole(w: BraidWord) -> BraidWord:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from tunnel_slopes import BraidWord, DomainError, ParseError, format_word, parse_word, reverse_word
 from tunnel_slopes.braid import (
+    SIZE_LIMIT,
     Letter,
     double_coset_trim,
     segment,
@@ -186,6 +187,19 @@ def test_segment_pinned_values():
     assert [format_word(p) for p in pieces] == ["s 1 l 1", "s 1", "s 1"]
     pieces = segment(parse_word("m 2 s 3 l -1 m -3 l 1"))
     assert [format_word(p) for p in pieces] == ["l 1", "s 1", "s 1", "s 2 l -1 s 1", "s -1"]
+
+
+def test_segment_size_limit():
+    assert SIZE_LIMIT == 65536
+    assert len(segment(word([("m", SIZE_LIMIT), ("l", 1)]))) == SIZE_LIMIT
+    assert len(segment(word([("m", -40000), ("s", 1), ("m", 25536), ("l", 1)]))) == SIZE_LIMIT
+    for letters in (
+        [("m", -SIZE_LIMIT - 1), ("s", 1), ("l", 1)],
+        [("m", 30000), ("l", 1), ("m", -35537), ("l", 1)],
+    ):
+        with pytest.raises(DomainError) as info:
+            segment(word(letters))
+        assert str(info.value) == "the word has more than 65536 segments (the size limit)"
 
 
 def test_subgroup_slope_pinned_values():

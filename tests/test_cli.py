@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import random
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -188,6 +189,41 @@ def test_domain_error_exits_one():
         assert out == ""
         assert err.startswith("error:") and message in err
         assert "Traceback" not in err
+
+
+_SEGMENTS_OVER = "the word has more than 65536 segments (the size limit)"
+_TORUS_OVER = "torus parameters need |p| and |q| at most 65536 (the size limit)"
+
+
+def _cap_address_space():
+    """Limit the child to 600 MB of address space, so a runaway fails fast."""
+    cap = 600 * 2**20
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    if hard != resource.RLIM_INFINITY:
+        cap = min(cap, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["twoBridge", "7" * 300, "2"], _SEGMENTS_OVER),
+        (["upperSlopes", "m", "-" + "9" * 50, "s", "1", "l", "1"], _SEGMENTS_OVER),
+        (["torusUpperSlopes", "3", "1000000001"], _TORUS_OVER),
+        (["fullTorusBraidWord", "3", "1000000001"], _TORUS_OVER),
+    ],
+    ids=["twoBridge", "upperSlopes", "torusUpperSlopes", "fullTorusBraidWord"],
+)
+def test_input_over_the_size_limit_exits_one(argv, message):
+    proc = subprocess.run(
+        [sys.executable, "-m", "tunnel_slopes", *argv],
+        capture_output=True,
+        text=True,
+        timeout=20,
+        preexec_fn=_cap_address_space,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"error: {message}\n"
 
 
 def test_parse_error_exits_two():

@@ -28,7 +28,7 @@ from tunnel_slopes import (
     upper_semisimple_word,
     upper_slopes,
 )
-from tunnel_slopes.braid import word
+from tunnel_slopes.braid import SIZE_LIMIT, word
 from tunnel_slopes.exact_arith import expand_odd_numerator
 
 
@@ -152,6 +152,16 @@ def test_staircase_pinned_values():
 def test_staircase_rejects_bad_parameters(p, q):
     with pytest.raises(DomainError):
         staircase(p, q)
+
+
+def test_torus_parameters_over_the_size_limit_are_refused():
+    assert len(staircase(3, SIZE_LIMIT)) == SIZE_LIMIT + 1
+    message = "torus parameters need |p| and |q| at most 65536 (the size limit)"
+    for build in (staircase, torus_braid_word, torus_upper_slopes, torus_lower_slopes):
+        for p, q in ((3, SIZE_LIMIT + 1), (SIZE_LIMIT + 2, 3), (-3, -(SIZE_LIMIT + 1))):
+            with pytest.raises(DomainError) as info:
+                build(p, q)
+            assert str(info.value) == message, (build, p, q)
 
 
 def test_torus_braid_word_pinned_values():

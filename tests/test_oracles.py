@@ -1,18 +1,31 @@
-"""The one-pass `segment` and `peephole` against the multi-pass code they replaced.
+"""The one-pass production code against the multi-pass code it replaced.
 
 The oracles below spell the old algorithms out: `segment` by first rewriting
-every dm^-k as (s dm s)^k and trimming again, and `peephole` by rescanning
-the whole word from its start after each rewrite.  The production versions
-must give the same letters on random, relator-fuzzed and deep words.
+every dm^-k as (s dm s)^k and trimming again; `peephole` by rescanning the
+whole word from its start after each rewrite; `braid_from_slopes` by
+prepending each block to the canonical word built so far and twisting it by
+that word's winding; and `expand_odd_numerator` by stepping in `Fraction`
+arithmetic.  The production versions must give the same letters on random,
+relator-fuzzed and deep inputs.
 """
 
+import math
+from fractions import Fraction
 from random import Random
 
 from fuzzing import apply_fuzz, random_fuzz_plan, random_valid_slopes
 
-from tunnel_slopes import DomainError, braid_from_slopes, reverse_word
+from tunnel_slopes import (
+    DomainError,
+    SimpleSlope,
+    SlopeSequence,
+    braid_from_slopes,
+    lower_slopes,
+    reverse_word,
+)
 from tunnel_slopes import slope_engine
-from tunnel_slopes.braid import BraidWord, double_coset_trim, segment, word
+from tunnel_slopes.braid import BraidWord, double_coset_trim, segment, winding_number, word
+from tunnel_slopes.exact_arith import expand_odd_numerator
 from tunnel_slopes.slope_engine import peephole
 
 
@@ -129,3 +142,80 @@ def test_deep_words_match_oracles(monkeypatch):
         for w in (spelled, built, reverse_word(spelled), reverse_word(built)):
             _assert_same_as_oracles(w)
     assert rewritten >= 10
+
+
+def oracle_expand_odd_numerator(x):
+    """Even-odd expansion by nearest-even and nearest-integer steps on Fractions."""
+    x = Fraction(x)
+    entries = []
+    while True:
+        a2 = 2 * math.ceil((x - 1) / 2)  # a tie at an odd integer takes the smaller even
+        entries.append(a2)
+        x = 1 / (x - a2)
+        b = math.ceil(x - Fraction(1, 2))  # a tie at a half-integer takes the floor
+        entries.append(b)
+        remainder = x - b
+        if not remainder:
+            return tuple(entries)
+        x = 1 / remainder
+
+
+def oracle_braid_from_slopes(seq):
+    """Blocks prepended one by one, each twisted by the winding of the word so far."""
+    if not seq:
+        return BraidWord()
+    result = BraidWord()
+    for target in [Fraction(seq.first.q, seq.first.p), *seq.rest]:
+        cf = oracle_expand_odd_numerator(target)
+        letters = [("m", 1), ("s", 1)]
+        for j in range(len(cf) - 2, -1, -2):
+            letters.append(("s", cf[j + 1]))
+            letters.append(("l", -(cf[j] // 2)))
+        letters.append(("l", winding_number(result)))
+        result = word(letters) * result
+    return peephole(result)
+
+
+def _random_fraction(rng, bound):
+    return Fraction(2 * rng.randint(-bound // 2, bound // 2) + 1, rng.randint(1, bound))
+
+
+def _random_sequence(rng, bound, max_d=40):
+    """A valid sequence of depth 0..max_d, numerators and denominators within the bound.
+
+    Unlike fuzzing.random_valid_slopes, which lists every p coprime to q,
+    this draws p until it is coprime, so q may have 30 digits.
+    """
+    q = 2 * rng.randint(1, bound // 2) + 1
+    p = rng.randint(1, q - 1)
+    while math.gcd(p, q) != 1:
+        p = rng.randint(1, q - 1)
+    rest = tuple(_random_fraction(rng, bound) for _ in range(rng.randint(0, max_d)))
+    return SlopeSequence(SimpleSlope(p, q), rest)
+
+
+def test_expansion_matches_oracle_on_ties_and_random_fractions():
+    for n in range(-499, 502, 2):  # every odd integer is a tie at the a-step
+        assert expand_odd_numerator(n) == oracle_expand_odd_numerator(n), n
+    rng = Random(1729)
+    for i in range(100_000):
+        x = _random_fraction(rng, 10**30 if i % 100 == 0 else 99)
+        assert expand_odd_numerator(x) == oracle_expand_odd_numerator(x), x
+
+
+def test_braid_from_slopes_matches_oracle_on_random_sequences():
+    rng = Random(2010)
+    for i in range(600):
+        seq = _random_sequence(rng, 10**30 if i % 5 == 0 else 999)
+        assert braid_from_slopes(seq).letters == oracle_braid_from_slopes(seq).letters, seq
+
+
+def test_braid_from_slopes_matches_oracle_on_lower_sequences():
+    # small entries keep the reversed words within reach of the engine
+    rng = Random(1004)
+    depths = set()
+    for _ in range(100):
+        lower = lower_slopes(braid_from_slopes(_random_sequence(rng, 9)))
+        depths.add(len(lower.rest) if lower else -1)
+        assert braid_from_slopes(lower).letters == oracle_braid_from_slopes(lower).letters, lower
+    assert max(depths) >= 40
