@@ -14,8 +14,8 @@ The text form is whitespace-separated name/exponent pairs, e.g.
 from __future__ import annotations
 
 import sys
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable, Optional
 
 from .errors import DomainError, ParseError
 from .exact_arith import INFINITY, ExtRational, _Value
@@ -88,7 +88,7 @@ def _push(stack: list[Letter], name: str, exponent: int) -> None:
         stack.append((name, exponent))
 
 
-def _too_long(token: str, kind: str) -> Optional[str]:
+def _too_long(token: str, kind: str) -> str | None:
     """Why int() refused a token of decimal digits, or None for other tokens.
 
     Such a token fails only by exceeding Python's limit on integer string
@@ -188,7 +188,7 @@ def double_coset_trim(w: BraidWord) -> BraidWord:
     return word(letters[start:end])
 
 
-def segment(w: BraidWord) -> Optional[list[BraidWord]]:
+def segment(w: BraidWord) -> list[BraidWord] | None:
     """Split a word at its dm letters into subgroup segments.
 
     Reading each dm^-k as (s dm s)^k, the trimmed word has the form

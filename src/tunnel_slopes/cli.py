@@ -6,15 +6,23 @@ both may be quoted as a single argument or spread over several, with
 brackets and commas ignored.  Every subcommand accepts --json for a
 machine-readable form of the same numbers.
 
+A command line takes one of two routes to the same namespace.  A well-formed
+line is read directly, without importing argparse: a known command, then
+tokens that are each --json or plainly positional, with every --json before
+or after the positionals, and exactly two integers for a command that takes
+parameters.  Every other line, -h/--help included, goes to the argparse parser
+of `build_parser`, which alone writes help, usage and error text.  From the
+namespace on, both routes run the same code.
+
 Exit status: 0 on success, 1 for a value outside an operation's domain,
 2 for input that does not parse (argparse usage errors included).
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
-from typing import Optional, Sequence
+import types
+from collections.abc import Sequence
 
 from .braid import BraidWord, _too_long, format_word, parse_word, reverse_word
 from .errors import DomainError, ParseError
@@ -100,11 +108,54 @@ def _integer(text: str) -> int:
         return int(text)
     except ValueError:
         pass
+    import argparse
+
     raise argparse.ArgumentTypeError(_too_long(text, "integer") or f"invalid int value: {text!r}")
 
 
-def _inputs(args: argparse.Namespace) -> tuple:
-    """The library function's arguments, parsed from the command line."""
+def _quick_parse(argv: list[str]) -> types.SimpleNamespace | None:
+    """The namespace argparse would give for argv, or None to leave argv to argparse.
+
+    Accepts only lines that argparse reads the same way.  Each token other
+    than --json must be certainly positional: argparse takes a token that
+    starts with "-" for an option unless a private pattern calls it a negative
+    number, so the only such token accepted is that pattern's plainest case,
+    "-" and ASCII digits.  A "*" argument gets one contiguous run of tokens, so
+    --json may only lead or trail it.
+    """
+    if not argv:
+        return None
+    for name, kind, run, _ in _commands():
+        if name == argv[0]:
+            break
+    else:
+        return None
+    tokens = argv[1:]
+    start, stop = 0, len(tokens)
+    while start < stop and tokens[start] == "--json":
+        start += 1
+    while stop > start and tokens[stop - 1] == "--json":
+        stop -= 1
+    values = tokens[start:stop]
+    for token in values:
+        if token.startswith("-") and not (token[1:].isascii() and token[1:].isdigit()):
+            return None
+    args = types.SimpleNamespace(command=name, run=run, kind=kind, json=len(values) < len(tokens))
+    if kind in _TEXT_HELP:
+        setattr(args, kind, values)
+        return args
+    if len(values) != len(kind):
+        return None
+    for (param, _), token in zip(kind, values):
+        try:
+            setattr(args, param, int(token))
+        except ValueError:  # not an integer, or over the int-from-str limit
+            return None
+    return args
+
+
+def _inputs(args) -> tuple:
+    """The library function's arguments, parsed from either route's namespace."""
     if args.kind == _WORD:
         return (parse_word(" ".join(args.word)),)
     if args.kind == _SLOPES:
@@ -150,6 +201,8 @@ def _render(result, json_mode: bool) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse  # only help and malformed lines need it; see the module docstring
+
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--json", action="store_true", help="print the result as one JSON object"
@@ -175,8 +228,9 @@ def _fail(message: object, code: int) -> int:
     return code
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+def main(argv: Sequence[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _quick_parse(argv) or build_parser().parse_args(argv)
     try:
         result = args.run(*_inputs(args))
     except ParseError as exc:

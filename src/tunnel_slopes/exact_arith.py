@@ -20,8 +20,8 @@ pair (a, b) with a odd, is the normal form behind the 2-bridge formulas.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import DomainError
 
@@ -150,8 +150,9 @@ def expand_odd_numerator(x: Fraction | int) -> tuple[int, ...]:
     """Greedy expansion of x in the even-odd shape [2a1, b1, ..., 2an, bn].
 
     At a-steps the quotient is the nearest even integer (ties at odd integers
-    go to the smaller even); at b-steps the nearest integer (ties at
-    half-integers go to the floor).  Remainder magnitudes strictly shrink, so
+    go to the smaller even); at b-steps the nearest integer.  A b-step never
+    meets a tie: it expands q/r, where r = p - a q is odd because p is, so
+    q/r is never a half-integer.  Remainder magnitudes strictly shrink, so
     the expansion terminates, always at a b-step.
 
     Requires x with odd numerator; cf_eval of the result equals x exactly.

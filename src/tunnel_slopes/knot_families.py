@@ -15,8 +15,8 @@ and realized directly.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence, Union
 
 from .braid import SIZE_LIMIT, BraidWord, reverse_word, word
 from .errors import DomainError
@@ -187,7 +187,7 @@ def semisimple_slopes_closed_form(a: int, b: int) -> SlopeSequence:
 
 def find_two_bridge(
     seq: SlopeSequence,
-) -> Union[tuple[TwoBridge, TwoBridge], Rejection]:
+) -> tuple[TwoBridge, TwoBridge] | Rejection:
     """Identify the 2-bridge knot whose upper semisimple tunnel has these slopes.
 
     On success returns (K(a, b), K(a, b')): the sequence is the upper

@@ -9,8 +9,8 @@ is a class in Q/Z and the later entries are rationals with odd numerator.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Optional, Sequence
 
 from .braid import (
     BraidWord,
@@ -56,7 +56,7 @@ class SlopeSequence(_Value):
     __slots__ = ("first", "rest")
 
     def __init__(
-        self, first: Optional[SimpleSlope] = None, rest: tuple[Fraction, ...] = ()
+        self, first: SimpleSlope | None = None, rest: tuple[Fraction, ...] = ()
     ) -> None:
         if first is None:
             if rest:

@@ -1,7 +1,7 @@
 """Randomized checking tools: relator fuzzing and reproducible random inputs.
 
-Everything here is deterministic in a seed, so a failing case can be
-replayed from its seed alone.
+Everything here is deterministic in a seed (random_valid_slopes in the
+Random it is given), so a failing case can be replayed from its seed alone.
 """
 
 from __future__ import annotations
@@ -75,16 +75,19 @@ def random_fuzz_plan(seed: int, w: BraidWord, count: int = 4) -> FuzzPlan:
     return FuzzPlan(seed, tuple(insertions))
 
 
-def random_valid_slopes(seed: int, max_d: int = 5, bound: int = 99) -> SlopeSequence:
-    """A seed-determined valid slope sequence with at most max_d later slopes.
+def random_valid_slopes(rng: Random, max_d: int = 5, bound: int = 99) -> SlopeSequence:
+    """A valid slope sequence drawn from rng, with at most max_d later slopes.
 
     The first slope is a reduced p/q with odd q up to the bound; each later
     slope has an odd numerator and positive denominator within the bound.
+    p is drawn until it is coprime to q, so memory does not grow with the
+    bound and entries may have 30 digits or more.
     """
-    rng = Random(seed)
     d = rng.randint(0, max_d)
     q = 2 * rng.randint(1, (bound - 1) // 2) + 1
-    p = rng.choice([k for k in range(1, q) if gcd(k, q) == 1])
+    p = rng.randint(1, q - 1)
+    while gcd(p, q) != 1:
+        p = rng.randint(1, q - 1)
     rest = tuple(
         Fraction(2 * rng.randint(-((bound + 1) // 2), (bound - 1) // 2) + 1, rng.randint(1, bound))
         for _ in range(d)

@@ -13,6 +13,7 @@ import pytest
 
 from conftest import run_cli
 from tunnel_slopes import SimpleSlope, SlopeSequence, format_slopes
+from tunnel_slopes import cli
 from tunnel_slopes.cli import main
 
 MAIN_WORD = ["m", "3", "s", "-2", "l", "3", "s", "-4", "m", "-1", "s", "-4", "l", "3"]
@@ -257,38 +258,43 @@ def test_module_entry_point_runs_in_subprocess():
     assert proc.stdout == "[ 21/25 ], 341/60, -13, -13\n"
 
 
-# A plain run imports neither the dataclass machinery (with inspect behind it)
-# nor json; only --json output loads json.  runpy runs the package as
-# `python -m tunnel_slopes` does, so the same interpreter's sys.modules can be
-# read afterwards.
+# A plain run imports neither argparse nor typing, nor the dataclass machinery
+# (with inspect behind it), nor json; a --json run loads json but still no
+# argparse.  The script records sys.modules before loading the package and
+# reports only what loading and running add, so modules that the interpreter's
+# site hooks preload do not count.  runpy runs the package as `python -m
+# tunnel_slopes` does, so the same interpreter's sys.modules can be read
+# afterwards.
 _FOOTPRINT_SCRIPT = """
 import runpy, sys
-watched = ("dataclasses", "inspect", "json")
+watched = ("argparse", "typing", "dataclasses", "inspect", "json")
+before = set(sys.modules)
 import tunnel_slopes.cli
-after_import = [name for name in watched if name in sys.modules]
-sys.argv = ["tunnel_slopes", "upperSlopes", "m", "3", "s", "-2", "l", "3"]
+after_import = [name for name in watched if name in sys.modules and name not in before]
+sys.argv = ["tunnel_slopes", *sys.argv[1:]]
 try:
     runpy.run_module("tunnel_slopes", run_name="__main__", alter_sys=True)
 finally:
-    after_run = [name for name in watched if name in sys.modules]
-    print("loaded:", after_import, after_run, file=sys.stderr)
+    after_run = [name for name in watched if name in sys.modules and name not in before]
+    print("loaded:", after_import, after_run, "json" in sys.modules, file=sys.stderr)
 """
 
 
-def test_plain_run_imports_no_dataclasses_inspect_or_json():
-    proc = subprocess.run(
-        [sys.executable, "-c", _FOOTPRINT_SCRIPT], capture_output=True, text=True
+def _footprint(argv):
+    return subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT_SCRIPT, *argv], capture_output=True, text=True
     )
+
+
+def test_plain_run_imports_no_dataclasses_inspect_or_json():
+    proc = _footprint(["upperSlopes", "m", "3", "s", "-2", "l", "3"])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[ 16/19 ], -7, -7\n"
-    assert proc.stderr == "loaded: [] []\n"
-    proc = subprocess.run(
-        [sys.executable, "-m", "tunnel_slopes", "upperSlopes", "--json", "m", "3", "s", "-2", "l", "3"],
-        capture_output=True,
-        text=True,
-    )
+    assert proc.stderr.startswith("loaded: [] [] "), proc.stderr
+    proc = _footprint(["upperSlopes", "--json", "m", "3", "s", "-2", "l", "3"])
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"numerators": [16, -7, -7], "denominators": [19, 1, 1]}
+    assert proc.stderr in ("loaded: [] ['json'] True\n", "loaded: [] [] True\n"), proc.stderr
 
 
 _WORD_COMMANDS = ("upperSlopes", "lowerSlopes", "reverseBraid")
@@ -356,3 +362,88 @@ def test_seeded_fuzz_exits_cleanly():
         assert (code == 0) == (err == ""), argv
         codes.add(code)
     assert codes == {0, 1, 2}
+
+
+# Command lines at the edges of the quick parse, each with whether it takes
+# the quick route.  Of the tokens that start with "-", the quick parse reads
+# only "-" and ASCII digits.  argparse calls a token a negative number by a
+# private pattern (r'^-\d+$|^-\d*\.\d+$' in Python 3.10-3.13, where \d also
+# matches non-ASCII digits), so -.5 and -\u0661 are left to argparse.
+_EDGE_ARGV = [
+    (["upperSlopes", "--json", "m", "1"], True),
+    (["upperSlopes", "m", "1", "--json"], True),
+    (["upperSlopes", "--json", "--json", "m", "1", "--json"], True),
+    (["upperSlopes", "m", "--json", "1"], False),
+    (["upperSlopes", "--json"], True),
+    (["upperSlopes"], True),
+    (["upperSlopes", "--js", "m", "1"], False),
+    (["upperSlopes", "m", "1", "--j"], False),
+    (["upperSlopes", "--json=1", "m", "1"], False),
+    (["upperSlopes", "m", "-", "1"], False),
+    (["upperSlopes", "--", "m", "1"], False),
+    (["upperSlopes", "m", "1", "--"], False),
+    (["upperSlopes", "m", "-1 2"], False),
+    (["upperSlopes", "m 3 s -2 l 3"], True),
+    (["upperSlopes", "m", "-0", "l", "1"], True),
+    (["upperSlopes", "-m", "1"], False),
+    (["upperSlopes", ""], True),
+    (["dualSlopes", "-.5", "1"], False),
+    (["dualSlopes", "1", "3", "-1.5", "1"], False),
+    (["dualSlopes", "1", "3", "-1e3", "1"], False),
+    (["dualSlopes", "1", "3", "-1_001", "1"], False),
+    (["dualSlopes", "1", "3", "-\u0661", "1"], False),
+    (["braidWord", "21", "25", "341", "60", "-13", "1"], True),
+    (["twoBridge", "-1", "2"], True),
+    (["twoBridge", "413", "-227"], True),
+    (["twoBridge", "+413", "227"], True),
+    (["twoBridge", " 413 ", "227"], True),
+    (["twoBridge", "1_001", "2"], True),
+    (["twoBridge", "\u0664\u0661\u0663", "\u0662\u0662\u0667"], True),
+    (["twoBridge", "-\u0664\u0661\u0663", "2"], False),
+    (["twoBridge", "413", "2.0"], False),
+    (["twoBridge", "7" * (sys.get_int_max_str_digits() + 1), "2"], False),
+    (["twoBridge", "413"], False),
+    (["twoBridge", "413", "227", "5"], False),
+    (["twoBridge", "--json", "413", "227", "--json"], True),
+    (["twoBridge", "413", "--json", "227"], False),
+    (["twoBridge", "-h"], False),
+    (["twoBridge", "--help"], False),
+    (["-h"], False),
+    (["--json", "upperSlopes"], False),
+    ([], False),
+    (["upperslopes", "m", "1"], False),
+    (["upperSlo", "m", "1"], False),
+]
+
+
+def _argparse_fields(parser, argv):
+    """The namespace fields argparse reads from argv, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def test_quick_parse_reads_each_line_it_accepts_as_argparse_does():
+    # equal fields give the same function, kind, --json flag and inputs
+    parser = cli.build_parser()
+    rng = random.Random(60601)
+    lines = [_fuzz_argv(rng) for _ in range(4000)] + [argv for argv, _ in _EDGE_ARGV]
+    accepted = 0
+    for argv in lines:
+        quick = cli._quick_parse(argv)
+        if quick is not None:
+            accepted += 1
+            assert vars(quick) == _argparse_fields(parser, argv), argv
+    assert accepted > len(lines) // 2
+
+
+def test_edge_lines_give_the_same_output_on_either_route(monkeypatch):
+    quick_route = [_run_to_exit(argv) for argv, _ in _EDGE_ARGV]
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_quick_parse", lambda argv: None)
+        argparse_route = [_run_to_exit(argv) for argv, _ in _EDGE_ARGV]
+    for (argv, quick), ours, theirs in zip(_EDGE_ARGV, quick_route, argparse_route):
+        assert (cli._quick_parse(argv) is not None) == quick, argv
+        assert ours == theirs, argv

@@ -17,8 +17,6 @@ from fuzzing import apply_fuzz, random_fuzz_plan, random_valid_slopes
 
 from tunnel_slopes import (
     DomainError,
-    SimpleSlope,
-    SlopeSequence,
     braid_from_slopes,
     lower_slopes,
     reverse_word,
@@ -123,7 +121,7 @@ def test_relator_fuzzed_words_match_oracles():
 def _deep_sequences(count):
     seed = 0
     while count:
-        seq = random_valid_slopes(seed, max_d=40)
+        seq = random_valid_slopes(Random(seed), max_d=40)
         seed += 1
         if 30 <= len(seq.rest) <= 40:
             count -= 1
@@ -180,20 +178,6 @@ def _random_fraction(rng, bound):
     return Fraction(2 * rng.randint(-bound // 2, bound // 2) + 1, rng.randint(1, bound))
 
 
-def _random_sequence(rng, bound, max_d=40):
-    """A valid sequence of depth 0..max_d, numerators and denominators within the bound.
-
-    Unlike fuzzing.random_valid_slopes, which lists every p coprime to q,
-    this draws p until it is coprime, so q may have 30 digits.
-    """
-    q = 2 * rng.randint(1, bound // 2) + 1
-    p = rng.randint(1, q - 1)
-    while math.gcd(p, q) != 1:
-        p = rng.randint(1, q - 1)
-    rest = tuple(_random_fraction(rng, bound) for _ in range(rng.randint(0, max_d)))
-    return SlopeSequence(SimpleSlope(p, q), rest)
-
-
 def test_expansion_matches_oracle_on_ties_and_random_fractions():
     for n in range(-499, 502, 2):  # every odd integer is a tie at the a-step
         assert expand_odd_numerator(n) == oracle_expand_odd_numerator(n), n
@@ -206,7 +190,7 @@ def test_expansion_matches_oracle_on_ties_and_random_fractions():
 def test_braid_from_slopes_matches_oracle_on_random_sequences():
     rng = Random(2010)
     for i in range(600):
-        seq = _random_sequence(rng, 10**30 if i % 5 == 0 else 999)
+        seq = random_valid_slopes(rng, max_d=40, bound=10**30 if i % 5 == 0 else 999)
         assert braid_from_slopes(seq).letters == oracle_braid_from_slopes(seq).letters, seq
 
 
@@ -215,7 +199,7 @@ def test_braid_from_slopes_matches_oracle_on_lower_sequences():
     rng = Random(1004)
     depths = set()
     for _ in range(100):
-        lower = lower_slopes(braid_from_slopes(_random_sequence(rng, 9)))
+        lower = lower_slopes(braid_from_slopes(random_valid_slopes(rng, max_d=40, bound=9)))
         depths.add(len(lower.rest) if lower else -1)
         assert braid_from_slopes(lower).letters == oracle_braid_from_slopes(lower).letters, lower
     assert max(depths) >= 40

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -67,8 +68,8 @@ def test_fuzzing_preserves_invariants_on_a_sample():
 def test_random_valid_slopes_is_deterministic_and_valid():
     for bound in (30, 31):
         for seed in range(60):
-            first = random_valid_slopes(seed, max_d=3, bound=bound)
-            assert first == random_valid_slopes(seed, max_d=3, bound=bound)
+            first = random_valid_slopes(Random(seed), max_d=3, bound=bound)
+            assert first == random_valid_slopes(Random(seed), max_d=3, bound=bound)
             assert first.first is not None
             assert first.first.q % 2 == 1 and first.first.q <= bound
             assert 0 < first.first.p < first.first.q
