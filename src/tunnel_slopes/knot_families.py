@@ -4,8 +4,9 @@ The 2-bridge knot K(a, b) is parametrized by a odd >= 3 and 0 < b < a
 coprime to a; K(a, b) and K(a, b') with b b' = 1 (mod a) are the same knot.
 Each has four tunnels: an upper and a lower simple one, whose slope
 sequences are the single classes [b'/a] and [b/a], and an upper and a lower
-semisimple one, whose sequences this module computes both by closed formula
-and by braid words fed to the slope engine.
+semisimple one, whose sequences this module computes by closed formula.  It
+also builds the braid words whose upper tunnels are the semisimple ones, so
+the slope engine can check the formula.
 
 The (p, q) torus knot's tunnels have slope sequences read off the staircase
 of heights ceil(k p / q), and a sequence arising that way can be recognized
@@ -18,7 +19,7 @@ import math
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .braid import SIZE_LIMIT, BraidWord, reverse_word, word
+from .braid import SIZE_LIMIT, BraidWord, _trim_within_limit, reverse_word, word
 from .errors import DomainError
 from .exact_arith import (
     SimpleSlope,
@@ -28,7 +29,7 @@ from .exact_arith import (
     expand_odd_numerator,
     mod_inverse,
 )
-from .slope_engine import SlopeSequence, upper_slopes
+from .slope_engine import SlopeSequence
 
 __all__ = [
     "TwoBridge",
@@ -110,14 +111,22 @@ class Rejection(_Value):
 
 
 def two_bridge_tunnels(a: int, b: int) -> TwoBridgeReport:
-    """Slope sequences of all four tunnels of K(a, b)."""
+    """Slope sequences of all four tunnels of K(a, b), from the closed forms.
+
+    The semisimple sequences are the upper slopes of upper_semisimple_word
+    for (a, b) and (a, b'), and K(a, b) is refused exactly when the slope
+    engine would refuse one of those words: when it splits into more than
+    SIZE_LIMIT segments.  That count is never below the closed form's depth.
+    """
     knot = TwoBridge(a, b)
     dual = knot.dual_b
+    _trim_within_limit(upper_semisimple_word(a, b))
+    _trim_within_limit(upper_semisimple_word(a, dual))
     return TwoBridgeReport(
         upper_simple=SlopeSequence(SimpleSlope(dual, a)),
-        upper_semisimple=upper_slopes(upper_semisimple_word(a, b)),
+        upper_semisimple=semisimple_slopes_closed_form(a, b),
         lower_simple=SlopeSequence(SimpleSlope(b, a)),
-        lower_semisimple=upper_slopes(upper_semisimple_word(a, dual)),
+        lower_semisimple=semisimple_slopes_closed_form(a, dual),
     )
 
 
@@ -152,10 +161,14 @@ def semisimple_slopes_closed_form(a: int, b: int) -> SlopeSequence:
 
     The all-even expansion of (a, b) is refined so every entry in the odd
     positions is +-2 (splitting 2a into a run of 2s separated by zeros), and
-    each resulting pair contributes one slope, read right to left.
+    each resulting pair contributes one slope, read right to left.  So the
+    sequence has sum(|step| / 2) slopes over the steps (the odd positions) of
+    the expansion; over SIZE_LIMIT it raises DomainError before any is built.
     """
     TwoBridge(a, b)
     entries = expand_all_even(a, b)
+    if sum(abs(step) for step in entries[::2]) // 2 > SIZE_LIMIT:
+        raise DomainError(f"the sequence has more than {SIZE_LIMIT} slopes (the size limit)")
     flat: list[int] = []
     for i in range(0, len(entries), 2):
         step, landing = entries[i], entries[i + 1]

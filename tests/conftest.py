@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import resource
 from fractions import Fraction
 
 from tunnel_slopes import DomainError
@@ -73,3 +74,12 @@ def run_cli(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def cap_address_space():
+    """Limit a child to 600 MB of address space, so a runaway fails fast."""
+    cap = 600 * 2**20
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    if hard != resource.RLIM_INFINITY:
+        cap = min(cap, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))

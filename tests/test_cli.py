@@ -4,14 +4,13 @@ import contextlib
 import io
 import json
 import random
-import resource
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
-from conftest import run_cli
+from conftest import cap_address_space, run_cli
 from tunnel_slopes import SimpleSlope, SlopeSequence, format_slopes
 from tunnel_slopes import cli
 from tunnel_slopes.cli import main
@@ -196,24 +195,17 @@ _SEGMENTS_OVER = "the word has more than 65536 segments (the size limit)"
 _TORUS_OVER = "torus parameters need |p| and |q| at most 65536 (the size limit)"
 
 
-def _cap_address_space():
-    """Limit the child to 600 MB of address space, so a runaway fails fast."""
-    cap = 600 * 2**20
-    _, hard = resource.getrlimit(resource.RLIMIT_AS)
-    if hard != resource.RLIM_INFINITY:
-        cap = min(cap, hard)
-    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
-
-
 @pytest.mark.parametrize(
     "argv, message",
     [
         (["twoBridge", "7" * 300, "2"], _SEGMENTS_OVER),
+        # the smallest b = 2 case over the limit: dm^-65537 s^-2 dl^-1
+        (["twoBridge", str(4 * 65536 + 3), "2"], _SEGMENTS_OVER),
         (["upperSlopes", "m", "-" + "9" * 50, "s", "1", "l", "1"], _SEGMENTS_OVER),
         (["torusUpperSlopes", "3", "1000000001"], _TORUS_OVER),
         (["fullTorusBraidWord", "3", "1000000001"], _TORUS_OVER),
     ],
-    ids=["twoBridge", "upperSlopes", "torusUpperSlopes", "fullTorusBraidWord"],
+    ids=["twoBridge", "twoBridgeAtLimit", "upperSlopes", "torusUpperSlopes", "fullTorusBraidWord"],
 )
 def test_input_over_the_size_limit_exits_one(argv, message):
     proc = subprocess.run(
@@ -221,10 +213,27 @@ def test_input_over_the_size_limit_exits_one(argv, message):
         capture_output=True,
         text=True,
         timeout=20,
-        preexec_fn=_cap_address_space,
+        preexec_fn=cap_address_space,
     )
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr == f"error: {message}\n"
+
+
+def test_two_bridge_at_the_size_limit_runs_at_once():
+    # the upper semisimple word dm^-65536 s^2 dl^-1 has exactly 65536 segments
+    proc = subprocess.run(
+        [sys.executable, "-m", "tunnel_slopes", "twoBridge", str(4 * 65536 + 1), "2"],
+        capture_output=True,
+        text=True,
+        timeout=20,
+        preexec_fn=cap_address_space,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 4
+    label, slopes = lines[1][:25], lines[1][25:].split(", ")
+    assert (label, slopes[0]) == ("Upper semisimple tunnel: ", "[ 2/5 ]")
+    assert slopes[1:] == ["-1"] * 65535
 
 
 def test_parse_error_exits_two():

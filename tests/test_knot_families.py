@@ -1,10 +1,13 @@
 """Closed forms and recognizers for the two-bridge and torus families."""
 
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+from conftest import cap_address_space
 from tunnel_slopes import (
     DomainError,
     Rejection,
@@ -80,6 +83,35 @@ def test_closed_form_agrees_with_engine_on_sample():
             closed = semisimple_slopes_closed_form(a, b)
             engine = upper_slopes(upper_semisimple_word(a, b))
             assert closed == engine, (a, b)
+
+
+_SLOPES_OVER = "the sequence has more than 65536 slopes (the size limit)"
+
+
+def test_closed_form_over_the_size_limit_is_refused():
+    # expand_all_even(a, 2) is (2n, +-2) with n = 65536 and 65537
+    assert len(semisimple_slopes_closed_form(4 * SIZE_LIMIT + 1, 2).rest) == SIZE_LIMIT - 1
+    with pytest.raises(DomainError) as info:
+        semisimple_slopes_closed_form(4 * SIZE_LIMIT + 3, 2)
+    assert str(info.value) == _SLOPES_OVER
+
+
+def test_closed_form_far_over_the_size_limit_is_refused_at_once():
+    code = (
+        "from tunnel_slopes import DomainError, semisimple_slopes_closed_form\n"
+        "try:\n"
+        "    semisimple_slopes_closed_form(10**9 + 7, 2)\n"
+        "except DomainError as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=20,
+        preexec_fn=cap_address_space,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, _SLOPES_OVER + "\n", "")
 
 
 def _lower_simple_word_by_letters(a, b):

@@ -1,28 +1,46 @@
-"""The one-pass production code against the multi-pass code it replaced.
+"""The production code against the slower code it replaced.
 
 The oracles below spell the old algorithms out: `segment` by first rewriting
 every dm^-k as (s dm s)^k and trimming again; `peephole` by rescanning the
 whole word from its start after each rewrite; `braid_from_slopes` by
 prepending each block to the canonical word built so far and twisting it by
-that word's winding; and `expand_odd_numerator` by stepping in `Fraction`
-arithmetic.  The production versions must give the same letters on random,
-relator-fuzzed and deep inputs.
+that word's winding; `expand_odd_numerator` by stepping in `Fraction`
+arithmetic; and `two_bridge_tunnels` by running the slope engine on the
+semisimple braid words.  The production versions must give the same letters
+or reports on random, relator-fuzzed and deep inputs, and `two_bridge_tunnels`
+must refuse the same parameters.
 """
 
 import math
 from fractions import Fraction
+from functools import partial
 from random import Random
 
 from fuzzing import apply_fuzz, random_fuzz_plan, random_valid_slopes
 
 from tunnel_slopes import (
     DomainError,
+    SimpleSlope,
+    SlopeSequence,
+    TwoBridge,
+    TwoBridgeReport,
     braid_from_slopes,
     lower_slopes,
     reverse_word,
+    semisimple_slopes_closed_form,
+    two_bridge_tunnels,
+    upper_semisimple_word,
+    upper_slopes,
 )
 from tunnel_slopes import slope_engine
-from tunnel_slopes.braid import BraidWord, double_coset_trim, segment, winding_number, word
+from tunnel_slopes.braid import (
+    SIZE_LIMIT,
+    BraidWord,
+    double_coset_trim,
+    segment,
+    winding_number,
+    word,
+)
 from tunnel_slopes.exact_arith import expand_odd_numerator
 from tunnel_slopes.slope_engine import peephole
 
@@ -203,3 +221,89 @@ def test_braid_from_slopes_matches_oracle_on_lower_sequences():
         depths.add(len(lower.rest) if lower else -1)
         assert braid_from_slopes(lower).letters == oracle_braid_from_slopes(lower).letters, lower
     assert max(depths) >= 40
+
+
+def oracle_two_bridge_tunnels(a, b, engine=upper_slopes):
+    """All four tunnels of K(a, b), the semisimple ones read by the slope engine.
+
+    The engine refuses a word in its first step, `segment`, when the word
+    splits into more than SIZE_LIMIT segments; passing `segment` as the
+    engine keeps that refusal and skips the reduction.
+    """
+    dual = TwoBridge(a, b).dual_b
+    return TwoBridgeReport(
+        upper_simple=SlopeSequence(SimpleSlope(dual, a)),
+        upper_semisimple=engine(upper_semisimple_word(a, b)),
+        lower_simple=SlopeSequence(SimpleSlope(b, a)),
+        lower_semisimple=engine(upper_semisimple_word(a, dual)),
+    )
+
+
+def _segment_count(a, b):
+    return sum(abs(k) for name, k in upper_semisimple_word(a, b).letters if name == "m")
+
+
+def _coprime_pairs(a_values):
+    for a in a_values:
+        for b in range(1, a):
+            if math.gcd(a, b) == 1:
+                yield a, b
+
+
+def test_two_bridge_tunnels_match_engine_oracle_on_catalog_tables():
+    # the benchmark catalog's tables; acceptance criterion 07 covers every
+    # a below 200 for the closed form alone
+    checked = 0
+    for a, b in _coprime_pairs([201, 401, 801, 1201]):
+        assert two_bridge_tunnels(a, b) == oracle_two_bridge_tunnels(a, b), (a, b)
+        checked += 1
+    assert checked == 2260
+
+
+def test_two_bridge_tunnels_match_engine_oracle_on_large_parameters():
+    rng = Random(1201)
+    checked = 0
+    while checked < 200:
+        digits = rng.randint(20, 30)
+        a = rng.randrange(10 ** (digits - 1), 10**digits) | 1
+        b = rng.randrange(1, a)
+        if math.gcd(a, b) != 1:
+            continue
+        # deep words cost the engine quadratic time; random b keeps most shallow
+        if max(_segment_count(a, b), _segment_count(a, pow(b, -1, a))) > 300:
+            continue
+        assert two_bridge_tunnels(a, b) == oracle_two_bridge_tunnels(a, b), (a, b)
+        checked += 1
+
+
+def _refusal(tunnels, a, b):
+    try:
+        tunnels(a, b)
+    except DomainError as exc:
+        return str(exc)
+    return None
+
+
+# (a, b): segments of the semisimple words for b and b', slopes of the closed forms
+_NEAR_LIMIT = [
+    (4 * SIZE_LIMIT + 1, 2),  # 65536 and 1 segments, 65536 and 1 slopes
+    (4 * SIZE_LIMIT + 3, 2),  # 65537 and 1, 65537 and 1
+    (393215, 3),  # 65536 and 65536, 65536 and 65536
+    (393217, 3),  # 65536 and 65537, 65536 and 65537
+    (524269, 4),  # 65536 and 2, 65535 and 2
+    (524277, 4),  # 65537 and 2, 65536 and 2
+]
+
+
+def test_two_bridge_tunnels_refuse_as_the_engine_does_near_the_size_limit():
+    refusing_oracle = partial(oracle_two_bridge_tunnels, engine=segment)
+    outcomes = []
+    for a, b in _NEAR_LIMIT:
+        for x in (b, pow(b, -1, a)):
+            refusal = _refusal(two_bridge_tunnels, a, x)
+            assert refusal == _refusal(refusing_oracle, a, x), (a, x)
+            outcomes.append(refusal)
+    assert set(outcomes) == {None, f"the word has more than {SIZE_LIMIT} segments (the size limit)"}
+    # the word's count, not the closed form's depth, decides the refusal
+    assert _segment_count(524277, 4) == SIZE_LIMIT + 1
+    assert len(semisimple_slopes_closed_form(524277, 4).rest) + 1 == SIZE_LIMIT
