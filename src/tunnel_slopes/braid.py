@@ -18,7 +18,7 @@ from collections.abc import Iterable
 from fractions import Fraction
 
 from .errors import DomainError, ParseError
-from .exact_arith import INFINITY, ExtRational, _Value
+from .exact_arith import INFINITY, SIZE_LIMIT, ExtRational, _Value
 
 __all__ = [
     "GENERATORS",
@@ -36,11 +36,6 @@ __all__ = [
 ]
 
 GENERATORS = ("m", "l", "s")
-
-# The most segments a word may split into, and the largest torus parameter
-# |p| or |q|: each makes a list of that many items, so input past the limit
-# is refused before anything is built.
-SIZE_LIMIT = 65536
 
 Letter = tuple[str, int]
 

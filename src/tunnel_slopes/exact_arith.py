@@ -25,8 +25,14 @@ from fractions import Fraction
 
 from .errors import DomainError
 
+# The most segments a word may split into, the most slopes a closed form may
+# list, and the largest torus parameter |p| or |q|: each makes a list of that
+# many items, so input past the limit is refused before anything is built.
+SIZE_LIMIT = 65536
+
 __all__ = [
     "INFINITY",
+    "SIZE_LIMIT",
     "ExtRational",
     "SimpleSlope",
     "cf_eval",
@@ -184,7 +190,12 @@ def expand_all_even(a: int, b: int) -> tuple[int, ...]:
 
     Requires a odd >= 3, 0 < |b| < a, gcd(a, b) = 1.  The result has all
     entries even, even length, and a nonzero last entry; cf_eval of it equals
-    a/bhat exactly.
+    a/bhat exactly.  It reads as steps (the odd positions) each followed by a
+    landing, and a step 2c stands for |c| slopes of the semisimple sequence,
+    so the walk keeps a running count of sum(|step| / 2) and raises
+    DomainError as soon as it passes SIZE_LIMIT, before any more entries are
+    built.  Where every step is +-2 (b = 1 or b = a - 1) that stops the walk
+    after SIZE_LIMIT + 1 steps, whatever the size of a.
     """
     if a < 3 or a % 2 == 0:
         raise DomainError("a must be odd and at least 3")
@@ -195,16 +206,21 @@ def expand_all_even(a: int, b: int) -> tuple[int, ...]:
     bhat = b if b % 2 == 0 else b - a
     x = Fraction(a, bhat)
     entries: list[int] = []
+    slopes = 0
     while True:
-        e = _nearest_even(x)
-        entries.append(e)
-        remainder = x - e
-        if not remainder:
+        # x has an odd numerator and an even denominator here, so it is no
+        # integer and the step leaves a nonzero remainder
+        step = _nearest_even(x)
+        slopes += abs(step) // 2
+        if slopes > SIZE_LIMIT:
+            raise DomainError(f"the sequence has more than {SIZE_LIMIT} slopes (the size limit)")
+        x = 1 / (x - step)
+        landing = _nearest_even(x)
+        entries += (step, landing)
+        if x == landing:
             break
-        x = 1 / remainder
-    # parity of the numerator alternates odd/even along the steps, so the
-    # greedy walk can only stop after an even number of entries
-    assert len(entries) % 2 == 0 and entries[-1] != 0
+        x = 1 / (x - landing)
+    assert landing != 0
     return tuple(entries)
 
 

@@ -4,9 +4,10 @@ The 2-bridge knot K(a, b) is parametrized by a odd >= 3 and 0 < b < a
 coprime to a; K(a, b) and K(a, b') with b b' = 1 (mod a) are the same knot.
 Each has four tunnels: an upper and a lower simple one, whose slope
 sequences are the single classes [b'/a] and [b/a], and an upper and a lower
-semisimple one, whose sequences this module computes by closed formula.  It
-also builds the braid words whose upper tunnels are the semisimple ones, so
-the slope engine can check the formula.
+semisimple one, whose sequences this module computes by closed formula and
+recognizes by running that formula backwards.  It also builds the braid words
+whose upper tunnels are the semisimple ones: the CLI prints them, and
+two_bridge_tunnels refuses K(a, b) by their segment count.
 
 The (p, q) torus knot's tunnels have slope sequences read off the staircase
 of heights ceil(k p / q), and a sequence arising that way can be recognized
@@ -159,42 +160,27 @@ def lower_simple_word(a: int, b: int) -> BraidWord:
 def semisimple_slopes_closed_form(a: int, b: int) -> SlopeSequence:
     """Slope sequence of the upper semisimple tunnel of K(a, b), in closed form.
 
-    The all-even expansion of (a, b) is refined so every entry in the odd
-    positions is +-2 (splitting 2a into a run of 2s separated by zeros), and
-    each resulting pair contributes one slope, read right to left.  So the
-    sequence has sum(|step| / 2) slopes over the steps (the odd positions) of
-    the expansion; over SIZE_LIMIT it raises DomainError before any is built.
+    One walk over the steps of the all-even expansion of (a, b), right to
+    left.  A step 2c with sign alpha, landing on 2 beta, gives one slope and
+    then |c| - 1 slopes equal to -alpha.  The rightmost step's slope is the
+    class [(2 beta + (alpha - 1)/2) / (4 beta + alpha)]; every later step's is
+    -2 alpha' + 1/k with k = 2 beta + (alpha + alpha')/2, where alpha' is the
+    sign of the step before it in the walk.  So the sequence has
+    sum(|step| / 2) slopes, and expand_all_even refuses an expansion past
+    SIZE_LIMIT of them before it is complete.
     """
     TwoBridge(a, b)
     entries = expand_all_even(a, b)
-    if sum(abs(step) for step in entries[::2]) // 2 > SIZE_LIMIT:
-        raise DomainError(f"the sequence has more than {SIZE_LIMIT} slopes (the size limit)")
-    flat: list[int] = []
-    for i in range(0, len(entries), 2):
-        step, landing = entries[i], entries[i + 1]
-        unit = 2 if step > 0 else -2
-        for _ in range(abs(step) // 2 - 1):
-            flat.extend((unit, 0))
-        flat.extend((unit, landing))
-    pairs = [(flat[i] // 2, flat[i + 1] // 2) for i in range(0, len(flat), 2)]
-    pairs.reverse()
-    a0, b0 = pairs[0]
-    if a0 == 1:
-        first = SimpleSlope.from_fraction(Fraction(2 * b0, 4 * b0 + 1))
-    else:
-        first = SimpleSlope.from_fraction(Fraction(2 * b0 - 1, 4 * b0 - 1))
-    rest: list[Fraction] = []
-    for i in range(1, len(pairs)):
-        ai, bi = pairs[i]
-        prev = pairs[i - 1][0]
-        if ai == 1 and prev == 1:
-            k = 2 * bi + 1
-        elif ai == -1 and prev == -1:
-            k = 2 * bi - 1
-        else:
-            k = 2 * bi
+    unit = 1 if entries[-2] > 0 else -1
+    landing = entries[-1]
+    first = SimpleSlope.from_fraction(Fraction(landing + (unit - 1) // 2, 2 * landing + unit))
+    rest = [Fraction(-unit)] * (abs(entries[-2]) // 2 - 1)
+    for i in range(len(entries) - 4, -1, -2):
+        prev, unit = unit, 1 if entries[i] > 0 else -1
+        k = entries[i + 1] + (unit + prev) // 2
         assert k != 0
         rest.append(-2 * prev + Fraction(1, k))
+        rest.extend([Fraction(-unit)] * (abs(entries[i]) // 2 - 1))
     return SlopeSequence(first, tuple(rest))
 
 
@@ -233,26 +219,17 @@ def find_two_bridge(
     for i in range(1, len(signs)):
         if (signs[i] == signs[i - 1]) != (ks[i - 1] % 2 != 0):
             return Rejection("iv", REJECTION_IV)
-    if n0 % 2 != 0:
-        a_half = [-1]
-        b_twice = [n0 + 1]
-    else:
-        a_half = [1]
-        b_twice = [n0]
+    # the closed form's walk run backwards, one unit step 2 alpha per slope
+    # landing on k - (alpha + alpha')/2 (a run of -alpha slopes comes back as
+    # landings on 0, which cf_eval merges); built right to left, then reversed
+    unit = -1 if n0 % 2 != 0 else 1
+    entries = [n0 - (unit - 1) // 2, 2 * unit]
     for k in ks:
-        prev = a_half[-1]
-        cur = prev if k % 2 != 0 else -prev
-        a_half.append(cur)
-        if cur == 1 and prev == 1:
-            b_twice.append(k - 1)
-        elif cur == -1 and prev == -1:
-            b_twice.append(k + 1)
-        else:
-            b_twice.append(k)
-    entries: list[int] = []
-    for i in range(len(a_half) - 1, -1, -1):
-        entries.append(2 * a_half[i])
-        entries.append(b_twice[i])
+        prev = unit
+        if k % 2 == 0:
+            unit = -unit
+        entries += (k - (unit + prev) // 2, 2 * unit)
+    entries.reverse()
     x = cf_eval(entries)
     assert isinstance(x, Fraction)
     a = abs(x.numerator)

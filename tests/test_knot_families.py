@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -31,7 +32,7 @@ from tunnel_slopes import (
     upper_semisimple_word,
     upper_slopes,
 )
-from tunnel_slopes.braid import SIZE_LIMIT, word
+from tunnel_slopes.braid import SIZE_LIMIT, double_coset_trim, word
 from tunnel_slopes.exact_arith import expand_odd_numerator
 
 
@@ -94,13 +95,20 @@ def test_closed_form_over_the_size_limit_is_refused():
     with pytest.raises(DomainError) as info:
         semisimple_slopes_closed_form(4 * SIZE_LIMIT + 3, 2)
     assert str(info.value) == _SLOPES_OVER
+    # expand_all_even(a, 1) is (a - 1)/2 pairs (+-2, +-2): 65536 and 65537 steps
+    assert len(semisimple_slopes_closed_form(2 * SIZE_LIMIT + 1, 1).rest) == SIZE_LIMIT - 1
+    with pytest.raises(DomainError) as info:
+        semisimple_slopes_closed_form(2 * SIZE_LIMIT + 3, 1)
+    assert str(info.value) == _SLOPES_OVER
 
 
-def test_closed_form_far_over_the_size_limit_is_refused_at_once():
+def _refusal_in_a_capped_child(a, b):
+    """(exit code, stdout, stderr) of the closed form of K(a, b) in a child
+    limited to 600 MB and 20 s, printing the DomainError it raises."""
     code = (
         "from tunnel_slopes import DomainError, semisimple_slopes_closed_form\n"
         "try:\n"
-        "    semisimple_slopes_closed_form(10**9 + 7, 2)\n"
+        f"    semisimple_slopes_closed_form({a}, {b})\n"
         "except DomainError as exc:\n"
         "    print(exc)\n"
     )
@@ -111,7 +119,18 @@ def test_closed_form_far_over_the_size_limit_is_refused_at_once():
         timeout=20,
         preexec_fn=cap_address_space,
     )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, _SLOPES_OVER + "\n", "")
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_closed_form_far_over_the_size_limit_is_refused_at_once():
+    assert _refusal_in_a_capped_child(10**9 + 7, 2) == (0, _SLOPES_OVER + "\n", "")
+
+
+@pytest.mark.parametrize("b", [1, 10**9 + 6], ids=["b=1", "b=a-1"])
+def test_closed_form_refuses_an_alternating_expansion_at_once(b):
+    # every step of expand_all_even(a, b) is +-2 here, so it has a - 1
+    # entries unless the walk stops at the budget
+    assert _refusal_in_a_capped_child(10**9 + 7, b) == (0, _SLOPES_OVER + "\n", "")
 
 
 def _lower_simple_word_by_letters(a, b):
@@ -172,6 +191,62 @@ def test_find_two_bridge_inverts_closed_form_on_sample():
             primary, dual = find_two_bridge(semisimple_slopes_closed_form(a, b))
             assert primary == TwoBridge(a, b), (a, b)
             assert dual == TwoBridge(a, TwoBridge(a, b).dual_b), (a, b)
+
+
+def _converse_draw(rng):
+    """A random sequence meeting conditions i-iv, and whether all |k| <= 20.
+
+    n0 is not -1 or 0, each later slope is 2 sign + 1/k with k != 0, the
+    first sign is + exactly when n0 is odd (iii), and a sign repeats exactly
+    after an odd k (iv).  About one draw in five has some 20-30-digit k.
+    """
+    n0 = rng.choice([n for n in range(-30, 31) if n not in (-1, 0)])
+    ks = [rng.choice([k for k in range(-20, 21) if k]) for _ in range(rng.randint(0, 12))]
+    small = not ks or rng.random() >= 0.25
+    if not small:
+        for _ in range(rng.randint(1, min(3, len(ks)))):
+            digits = rng.randint(20, 30)
+            ks[rng.randrange(len(ks))] = rng.choice([1, -1]) * rng.randrange(
+                10 ** (digits - 1), 10**digits
+            )
+    sign = 1 if n0 % 2 != 0 else -1
+    rest = []
+    for i, k in enumerate(ks):
+        if i and ks[i - 1] % 2 == 0:
+            sign = -sign
+        rest.append(2 * sign + Fraction(1, k))
+    first = SimpleSlope.from_fraction(Fraction(n0, 2 * n0 + 1))
+    return SlopeSequence(first, tuple(rest)), small
+
+
+def test_find_two_bridge_recognizes_every_sequence_meeting_its_conditions():
+    rng = Random(808)
+    small_draws = 0
+    for _ in range(2000):
+        seq, small = _converse_draw(rng)
+        match = find_two_bridge(seq)
+        assert not isinstance(match, Rejection), (seq, match)
+        primary, dual = match
+        assert primary.a == dual.a and dual.b == primary.dual_b, seq
+        assert semisimple_slopes_closed_form(primary.a, primary.b) == seq, seq
+        # with a large k the dual sequence has about |k|/2 slopes and is refused
+        if small:
+            assert two_bridge_tunnels(dual.a, dual.b).lower_semisimple == seq, seq
+            small_draws += 1
+    assert 1400 < small_draws < 1800
+
+
+def test_semisimple_word_never_has_fewer_segments_than_the_closed_form_has_slopes():
+    # two_bridge_tunnels refuses by the word's count, so the closed form's
+    # own size refusal cannot reach twoBridge
+    pairs = [(a, b) for a in range(3, 202, 2) for b in range(1, a) if math.gcd(a, b) == 1]
+    pairs += [(a, b) for a in (401, 801, 1201) for b in range(1, a) if math.gcd(a, b) == 1]
+    gaps = set()
+    for a, b in pairs:
+        trimmed = double_coset_trim(upper_semisimple_word(a, b))
+        count = sum(abs(k) for name, k in trimmed.letters if name == "m")
+        gaps.add(count - 1 - len(semisimple_slopes_closed_form(a, b).rest))
+    assert min(gaps) == 0, gaps
 
 
 def test_staircase_pinned_values():
