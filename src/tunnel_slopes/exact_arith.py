@@ -196,6 +196,18 @@ def expand_all_even(a: int, b: int) -> tuple[int, ...]:
     DomainError as soon as it passes SIZE_LIMIT, before any more entries are
     built.  Where every step is +-2 (b = 1 or b = a - 1) that stops the walk
     after SIZE_LIMIT + 1 steps, whatever the size of a.
+
+    The expansion for (a, b'), with b b' = 1 (mod a), is this one reversed
+    with every entry negated:
+
+        expand_all_even(a, b') == tuple(-c for c in reversed(expand_all_even(a, b)))
+
+    The product of the matrices [[c, 1], [1, 0]] over the entries is
+    +-[[a, p], [bhat, r]].  Transposing it reverses the product, so the
+    reversed entries evaluate to a/p.  The determinant is 1 (the length is
+    even), so p bhat = -1 (mod a), and the negated entries evaluate to a/-p,
+    the value for b'.  So one expansion serves both pairs, but its SIZE_LIMIT
+    count covers only the steps of (a, b), which are the landings of (a, b').
     """
     if a < 3 or a % 2 == 0:
         raise DomainError("a must be odd and at least 3")

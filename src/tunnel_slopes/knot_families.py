@@ -5,8 +5,11 @@ coprime to a; K(a, b) and K(a, b') with b b' = 1 (mod a) are the same knot.
 Each has four tunnels: an upper and a lower simple one, whose slope
 sequences are the single classes [b'/a] and [b/a], and an upper and a lower
 semisimple one, whose sequences this module computes by closed formula and
-recognizes by running that formula backwards.  It also builds the braid words
-whose upper tunnels are the semisimple ones: the CLI prints them, and
+recognizes by running that formula backwards.  The closed formula is one walk
+over the all-even expansion of (a, b); the expansion of (a, b') is the same
+entries reversed and negated, so two_bridge_tunnels reads both semisimple
+sequences from one expansion.  The module also builds the braid words whose
+upper tunnels are the semisimple ones: the CLI prints them, and
 two_bridge_tunnels refuses K(a, b) by their segment count.
 
 The (p, q) torus knot's tunnels have slope sequences read off the staircase
@@ -112,22 +115,27 @@ class Rejection(_Value):
 
 
 def two_bridge_tunnels(a: int, b: int) -> TwoBridgeReport:
-    """Slope sequences of all four tunnels of K(a, b), from the closed forms.
+    """Slope sequences of all four tunnels of K(a, b), from one expansion.
 
     The semisimple sequences are the upper slopes of upper_semisimple_word
     for (a, b) and (a, b'), and K(a, b) is refused exactly when the slope
     engine would refuse one of those words: when it splits into more than
-    SIZE_LIMIT segments.  That count is never below the closed form's depth.
+    SIZE_LIMIT segments.  Both sequences are read from expand_all_even(a, b),
+    the lower one by walking its reversal with every entry negated, which is
+    the expansion for (a, b').  expand_all_even counts slopes only for
+    (a, b); the segment count is never below the closed form's depth, so the
+    check keeps the walk for (a, b') within SIZE_LIMIT slopes too.
     """
     knot = TwoBridge(a, b)
     dual = knot.dual_b
     _trim_within_limit(upper_semisimple_word(a, b))
     _trim_within_limit(upper_semisimple_word(a, dual))
+    entries = expand_all_even(a, b)
     return TwoBridgeReport(
         upper_simple=SlopeSequence(SimpleSlope(dual, a)),
-        upper_semisimple=semisimple_slopes_closed_form(a, b),
+        upper_semisimple=_semisimple_walk(entries),
         lower_simple=SlopeSequence(SimpleSlope(b, a)),
-        lower_semisimple=semisimple_slopes_closed_form(a, dual),
+        lower_semisimple=_semisimple_walk([-x for x in reversed(entries)]),
     )
 
 
@@ -160,17 +168,24 @@ def lower_simple_word(a: int, b: int) -> BraidWord:
 def semisimple_slopes_closed_form(a: int, b: int) -> SlopeSequence:
     """Slope sequence of the upper semisimple tunnel of K(a, b), in closed form.
 
-    One walk over the steps of the all-even expansion of (a, b), right to
-    left.  A step 2c with sign alpha, landing on 2 beta, gives one slope and
-    then |c| - 1 slopes equal to -alpha.  The rightmost step's slope is the
-    class [(2 beta + (alpha - 1)/2) / (4 beta + alpha)]; every later step's is
-    -2 alpha' + 1/k with k = 2 beta + (alpha + alpha')/2, where alpha' is the
-    sign of the step before it in the walk.  So the sequence has
-    sum(|step| / 2) slopes, and expand_all_even refuses an expansion past
-    SIZE_LIMIT of them before it is complete.
+    The walk over the all-even expansion of (a, b), whose steps expand_all_even
+    counts against SIZE_LIMIT before the expansion is complete.
     """
     TwoBridge(a, b)
-    entries = expand_all_even(a, b)
+    return _semisimple_walk(expand_all_even(a, b))
+
+
+def _semisimple_walk(entries: Sequence[int]) -> SlopeSequence:
+    """The semisimple slope sequence read off an all-even expansion.
+
+    One walk over the steps, right to left.  A step 2c with sign alpha,
+    landing on 2 beta, gives one slope and then |c| - 1 slopes equal to
+    -alpha.  The rightmost step's slope is the class
+    [(2 beta + (alpha - 1)/2) / (4 beta + alpha)]; every later step's is
+    -2 alpha' + 1/k with k = 2 beta + (alpha + alpha')/2, where alpha' is the
+    sign of the step before it in the walk.  So the sequence has
+    sum(|step| / 2) slopes.
+    """
     unit = 1 if entries[-2] > 0 else -1
     landing = entries[-1]
     first = SimpleSlope.from_fraction(Fraction(landing + (unit - 1) // 2, 2 * landing + unit))

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 from itertools import product
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -137,6 +138,46 @@ def test_expand_all_even_rejects_bad_inputs():
     for a, b in [(4, 1), (1, 1), (9, 0), (9, 9), (9, 11), (9, 3)]:
         with pytest.raises(DomainError):
             expand_all_even(a, b)
+
+
+def _reversed_negated(entries):
+    return tuple(-c for c in reversed(entries))
+
+
+def test_expand_all_even_of_the_dual_pair_is_the_reversal_negated():
+    # b b' = 1 (mod a): transposing the continued-fraction matrix product
+    # reverses the fraction; two_bridge_tunnels reads the lower semisimple
+    # tunnel of K(a, b) from expand_all_even(a, b) this way.  Every a <= 201,
+    # then the rest of the benchmark catalog's tables.
+    checked = 0
+    for a in [*range(3, 202, 2), 401, 801, 1201]:
+        for b in range(1, a):
+            if math.gcd(a, b) != 1:
+                continue
+            dual = expand_all_even(a, pow(b, -1, a))
+            assert dual == _reversed_negated(expand_all_even(a, b)), (a, b)
+            checked += 1
+    assert checked == 10410
+
+
+def test_expand_all_even_of_the_dual_pair_is_the_reversal_negated_on_large_parameters():
+    rng = Random(3001)
+    checked = skipped = 0
+    while checked < 200:
+        digits = rng.randint(20, 30)
+        a = rng.randrange(10 ** (digits - 1), 10**digits) | 1
+        b = rng.randrange(1, a)
+        if math.gcd(a, b) != 1:
+            continue
+        try:
+            entries, dual = expand_all_even(a, b), expand_all_even(a, pow(b, -1, a))
+        except DomainError:  # more than SIZE_LIMIT slopes for b or for b'
+            skipped += 1
+            continue
+        assert dual == _reversed_negated(entries), (a, b)
+        checked += 1
+    # one draw from this seed has more than SIZE_LIMIT slopes
+    assert skipped == 1
 
 
 def test_mod_inverse_golden_and_errors():

@@ -133,6 +133,21 @@ def test_closed_form_refuses_an_alternating_expansion_at_once(b):
     assert _refusal_in_a_capped_child(10**9 + 7, b) == (0, _SLOPES_OVER + "\n", "")
 
 
+@pytest.mark.parametrize(
+    "a, b, later",
+    [(2 * SIZE_LIMIT + 1, 1, SIZE_LIMIT - 1), (2 * SIZE_LIMIT - 1, 2 * SIZE_LIMIT - 2, SIZE_LIMIT - 2)],
+    ids=["b=1", "b=a-1"],
+)
+def test_self_dual_pairs_at_the_limit_have_equal_semisimple_tunnels(a, b, later):
+    # b' = b, and expand_all_even(a, b) alternates +-2, so its reversal,
+    # negated, is itself: both semisimple lines are the closed form of (a, b)
+    assert TwoBridge(a, b).dual_b == b
+    report = two_bridge_tunnels(a, b)
+    closed = semisimple_slopes_closed_form(a, b)
+    assert report.lower_semisimple == report.upper_semisimple == closed
+    assert len(closed.rest) == later
+
+
 def _lower_simple_word_by_letters(a, b):
     """dm^-1, then the even-odd expansion of a/b spelled right to left."""
     cf = expand_odd_numerator(Fraction(a, b))
