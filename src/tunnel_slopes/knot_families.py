@@ -194,7 +194,7 @@ def _semisimple_walk(entries: Sequence[int]) -> SlopeSequence:
         prev, unit = unit, 1 if entries[i] > 0 else -1
         k = entries[i + 1] + (unit + prev) // 2
         assert k != 0
-        rest.append(-2 * prev + Fraction(1, k))
+        rest.append(Fraction(1 - 2 * prev * k, k))
         rest.extend([Fraction(-unit)] * (abs(entries[i]) // 2 - 1))
     return SlopeSequence(first, tuple(rest))
 
@@ -299,29 +299,19 @@ def torus_braid_word(p: int, q: int) -> BraidWord:
     return word(letters)
 
 
-def _negate_slopes(seq: SlopeSequence) -> SlopeSequence:
-    """The mirror sequence: every slope negated (the first one as a class)."""
-    if not seq:
-        return seq
-    return SlopeSequence(seq.first.negate(), tuple(-x for x in seq.rest))
-
-
 def torus_upper_slopes(p: int, q: int) -> SlopeSequence:
     """Slope sequence of the upper tunnel of the (p, q) torus knot.
 
-    For positive parameters the heights above 1 on the staircase contribute
-    the slopes 2h - 1; parameters of mixed sign give the mirror sequence.
+    The heights h > 1 on the staircase of (|p|, |q|), its last step left
+    out, give the toroidal chain n0, n1, ..., nk of the odd integers 2h - 1,
+    negated for parameters of mixed sign; the sequence is [ 1/n0 ], n1, ...,
+    nk.
     """
     _check_torus(p, q)
-    if p < 0 and q < 0:
-        p, q = -p, -q
-    if (p < 0) != (q < 0):
-        return _negate_slopes(torus_upper_slopes(abs(p), abs(q)))
-    heights = staircase(p, q)
-    k0 = next(k for k in range(q + 1) if heights[k] > 1)
-    first = SimpleSlope.from_fraction(Fraction(1, 2 * heights[k0] - 1))
-    rest = tuple(Fraction(2 * heights[k] - 1) for k in range(k0 + 1, q))
-    return SlopeSequence(first, rest)
+    sign = -1 if (p < 0) != (q < 0) else 1
+    chain = [sign * (2 * h - 1) for h in staircase(abs(p), abs(q))[:-1] if h > 1]
+    first = SimpleSlope.from_fraction(Fraction(1, chain[0]))
+    return SlopeSequence(first, tuple(Fraction(n) for n in chain[1:]))
 
 
 def torus_lower_slopes(p: int, q: int) -> SlopeSequence:

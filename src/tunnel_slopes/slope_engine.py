@@ -76,10 +76,6 @@ class SlopeSequence(_Value):
         return self.first is not None
 
 
-def _format_rational(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def format_slopes(seq: SlopeSequence) -> str:
     """Text form "[ p/q ], m1, m2, ..."; the empty sequence formats as "".
 
@@ -88,7 +84,7 @@ def format_slopes(seq: SlopeSequence) -> str:
     """
     if not seq:
         return ""
-    return ", ".join([str(seq.first)] + [_format_rational(x) for x in seq.rest])
+    return ", ".join([str(seq.first)] + [str(x) for x in seq.rest])
 
 
 def parse_slopes(text: str) -> SlopeSequence:
@@ -120,57 +116,56 @@ _MS = word([("m", 1), ("s", 1)])
 
 
 def _segment_slopes(omegas: Sequence[BraidWord]) -> list[ExtRational]:
-    """Slope of each segment, untwisted by the winding of the word right of it."""
+    """Slope of each segment, untwisted by the winding t of the word right of it.
+
+    Untwisting reads omega dl^-t, and appending dl^t to a word u of
+    < dl, s > maps its slope a/b to (a - 2 t b)/b, so the untwisted slope is
+    subgroup_slope(omega) + 2t, and INFINITY (b = 0) stays INFINITY.
+    """
     slopes: list[ExtRational] = []
     suffix = BraidWord()
     for omega in omegas:
         twist = winding_number(suffix)
-        slopes.append(subgroup_slope(omega * word([("l", -twist)])))
+        slope = subgroup_slope(omega)
+        slopes.append(slope if slope is INFINITY else slope + 2 * twist)
         suffix = _MS * omega * suffix
     return slopes
 
 
-def _absorb_first(omegas: Sequence[BraidWord]) -> list[BraidWord]:
-    """Drop the rightmost segment, twisting its winding into the next one."""
-    twist = winding_number(omegas[0])
-    if len(omegas) == 1:
-        return []
-    rest = list(omegas[1:])
-    rest[0] = rest[0] * word([("l", twist)])
-    return rest
-
-
 def _eliminate(omegas: Sequence[BraidWord], i: int) -> list[BraidWord]:
-    """Remove segment i, whose untwisted slope is infinite."""
+    """Merge segment i away: the one merge rule of the reduction.
+
+    The last segment drops itself and the one before it.  Any other segment
+    i is replaced, with its neighbours, by omegas[i + 1] dl^w omegas[i - 1],
+    where w is the winding of omegas[i] and segment 0 has no right
+    neighbour; so a lone segment leaves nothing.
+    """
     omegas = list(omegas)
-    d = len(omegas) - 1
-    if i == d:
+    if i == len(omegas) - 1:
         return omegas[:-2]
+    merged = omegas[i + 1] * word([("l", winding_number(omegas[i]))])
     if i == 0:
-        return _absorb_first(omegas)
-    merged = omegas[i + 1] * word([("l", winding_number(omegas[i]))]) * omegas[i - 1]
-    return omegas[: i - 1] + [merged] + omegas[i + 2 :]
+        return [merged] + omegas[2:]
+    return omegas[: i - 1] + [merged * omegas[i - 1]] + omegas[i + 2 :]
 
 
 def upper_slopes(w: BraidWord) -> SlopeSequence:
     """Slope sequence of the upper tunnel of the position described by w.
 
-    Segments whose slope degenerates to INFINITY are eliminated, and a
-    rightmost segment carrying an integral first slope is absorbed into its
-    neighbor, until the sequence is in its reduced form (possibly empty).
+    Each round merges one segment away with _eliminate: the first segment
+    whose slope degenerates to INFINITY, or else the rightmost segment when
+    it carries an integral first slope.  The rounds stop at the reduced form
+    (possibly empty).
     """
     omegas = segment(w)
     while omegas:
         slopes = _segment_slopes(omegas)
         infinite = next((i for i, s in enumerate(slopes) if s is INFINITY), None)
-        if infinite is not None:
-            omegas = _eliminate(omegas, infinite)
-        elif abs(slopes[0].numerator) == 1:
-            omegas = _absorb_first(omegas)
-        else:
+        if infinite is None and abs(slopes[0].numerator) != 1:
             s0 = slopes[0]
             first = SimpleSlope.from_fraction(Fraction(s0.denominator, s0.numerator))
             return SlopeSequence(first, tuple(slopes[1:]))
+        omegas = _eliminate(omegas, 0 if infinite is None else infinite)
     return SlopeSequence()
 
 

@@ -229,6 +229,25 @@ def test_subgroup_slope_has_odd_numerator(letters):
         assert value.numerator % 2 == 1
 
 
+@settings(max_examples=200, derandomize=True)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from("ls"), st.integers(-4, 4)),
+        max_size=10,
+    ),
+    st.integers(-50, 50),
+)
+def test_subgroup_slope_of_a_twisted_word_shifts_by_twice_the_twist(letters, t):
+    # the slope engine untwists a segment by adding 2t to its slope
+    u = word(letters)
+    slope = subgroup_slope(u)
+    twisted = subgroup_slope(u * word([("l", t)]))
+    if slope is INFINITY:
+        assert twisted is INFINITY
+    else:
+        assert twisted == slope - 2 * t
+
+
 def test_subgroup_normal_form_pins_and_properties():
     assert format_word(subgroup_normal_form(parse_word("s -1 l -1"))) == "l 1 s 1"
     assert subgroup_normal_form(word([])) == word([])

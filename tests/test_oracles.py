@@ -5,9 +5,12 @@ every dm^-k as (s dm s)^k and trimming again; `peephole` by rescanning the
 whole word from its start after each rewrite; `braid_from_slopes` by
 prepending each block to the canonical word built so far and twisting it by
 that word's winding; `expand_odd_numerator` by stepping in `Fraction`
-arithmetic; and `two_bridge_tunnels` by running the slope engine on the
-semisimple braid words.  The production versions must give the same letters
-or reports on random, relator-fuzzed and deep inputs, and `two_bridge_tunnels`
+arithmetic; `two_bridge_tunnels` by running the slope engine on the
+semisimple braid words; and `upper_slopes` by its two-rule reduction loop,
+which eliminates the first infinite slope with one helper and absorbs an
+integral first slope with another, reading each slope off a word twisted by
+dl^-t.  The production versions must give the same letters, sequences or
+reports on random, relator-fuzzed and deep inputs, and `two_bridge_tunnels`
 must refuse the same parameters.
 """
 
@@ -38,10 +41,11 @@ from tunnel_slopes.braid import (
     BraidWord,
     double_coset_trim,
     segment,
+    subgroup_slope,
     winding_number,
     word,
 )
-from tunnel_slopes.exact_arith import expand_odd_numerator
+from tunnel_slopes.exact_arith import INFINITY, expand_odd_numerator
 from tunnel_slopes.slope_engine import peephole
 
 
@@ -158,6 +162,95 @@ def test_deep_words_match_oracles(monkeypatch):
         for w in (spelled, built, reverse_word(spelled), reverse_word(built)):
             _assert_same_as_oracles(w)
     assert rewritten >= 10
+
+
+_MS = word([("m", 1), ("s", 1)])
+
+
+def _oracle_segment_slopes(omegas):
+    """Slope of each segment, untwisted by the winding of the word right of it."""
+    slopes = []
+    suffix = BraidWord()
+    for omega in omegas:
+        twist = winding_number(suffix)
+        slopes.append(subgroup_slope(omega * word([("l", -twist)])))
+        suffix = _MS * omega * suffix
+    return slopes
+
+
+def _oracle_absorb_first(omegas):
+    """Drop the rightmost segment, twisting its winding into the next one."""
+    twist = winding_number(omegas[0])
+    if len(omegas) == 1:
+        return []
+    rest = list(omegas[1:])
+    rest[0] = rest[0] * word([("l", twist)])
+    return rest
+
+
+def _oracle_eliminate(omegas, i):
+    """Remove segment i, whose untwisted slope is infinite."""
+    omegas = list(omegas)
+    d = len(omegas) - 1
+    if i == d:
+        return omegas[:-2]
+    if i == 0:
+        return _oracle_absorb_first(omegas)
+    merged = omegas[i + 1] * word([("l", winding_number(omegas[i]))]) * omegas[i - 1]
+    return omegas[: i - 1] + [merged] + omegas[i + 2 :]
+
+
+def oracle_upper_slopes(w):
+    """Eliminate the first infinite slope, else absorb an integral first slope.
+
+    Two rules spelled by two helpers, each slope read off a twisted word.
+    """
+    omegas = segment(w)
+    while omegas:
+        slopes = _oracle_segment_slopes(omegas)
+        infinite = next((i for i, s in enumerate(slopes) if s is INFINITY), None)
+        if infinite is not None:
+            omegas = _oracle_eliminate(omegas, infinite)
+        elif abs(slopes[0].numerator) == 1:
+            omegas = _oracle_absorb_first(omegas)
+        else:
+            s0 = slopes[0]
+            first = SimpleSlope.from_fraction(Fraction(s0.denominator, s0.numerator))
+            return SlopeSequence(first, tuple(slopes[1:]))
+    return SlopeSequence()
+
+
+def _assert_engine_matches_oracle(w):
+    assert upper_slopes(w) == oracle_upper_slopes(w), w
+    reverse = reverse_word(w)
+    assert upper_slopes(reverse) == oracle_upper_slopes(reverse), w
+
+
+def test_upper_slopes_matches_oracle_on_random_words():
+    rng = Random(1802)
+    for _ in range(10_000):
+        _assert_engine_matches_oracle(_random_word(rng))
+
+
+def test_upper_slopes_matches_oracle_on_relator_fuzzed_words():
+    rng = Random(1803)
+    for seed in range(800):
+        w = _random_word(rng)
+        plan = random_fuzz_plan(seed, w, count=rng.randint(1, 6))
+        _assert_engine_matches_oracle(apply_fuzz(w, plan))
+
+
+def test_lower_slopes_matches_oracle_on_deep_sequences():
+    # small entries keep the reversed words within reach of the cubic loops
+    rng = Random(1804)
+    depths = set()
+    for _ in range(100):
+        w = braid_from_slopes(random_valid_slopes(rng, max_d=40, bound=9))
+        lower = lower_slopes(w)
+        depths.add(len(lower.rest) if lower else -1)
+        assert lower == oracle_upper_slopes(reverse_word(w)), w
+        assert upper_slopes(w) == oracle_upper_slopes(w), w
+    assert max(depths) >= 40
 
 
 def oracle_expand_odd_numerator(x):
