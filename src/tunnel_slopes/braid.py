@@ -183,19 +183,6 @@ def double_coset_trim(w: BraidWord) -> BraidWord:
     return word(letters[start:end])
 
 
-def _trim_within_limit(w: BraidWord) -> BraidWord:
-    """double_coset_trim(w), refused if segment would split it past SIZE_LIMIT.
-
-    Each dm^+-k of the trimmed word makes k segments, so the count is the
-    sum of |k| over its dm letters; over the limit this raises DomainError.
-    """
-    trimmed = double_coset_trim(w)
-    if sum(abs(k) for name, k in trimmed.letters if name == "m") > SIZE_LIMIT:
-        # the count itself may be too long to print
-        raise DomainError(f"the word has more than {SIZE_LIMIT} segments (the size limit)")
-    return trimmed
-
-
 def segment(w: BraidWord) -> list[BraidWord] | None:
     """Split a word at its dm letters into subgroup segments.
 
@@ -210,7 +197,10 @@ def segment(w: BraidWord) -> list[BraidWord] | None:
     Either way dm^+-k makes k pieces; a word that would make more than
     SIZE_LIMIT raises DomainError before any piece is built.
     """
-    trimmed = _trim_within_limit(w)
+    trimmed = double_coset_trim(w)
+    if sum(abs(k) for name, k in trimmed.letters if name == "m") > SIZE_LIMIT:
+        # the count itself may be too long to print
+        raise DomainError(f"the word has more than {SIZE_LIMIT} segments (the size limit)")
     if not trimmed:
         return None
     pieces: list[list[Letter]] = []

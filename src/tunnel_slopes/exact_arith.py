@@ -120,10 +120,6 @@ class SimpleSlope(_Value):
         """The class of x modulo 1."""
         return cls(x.numerator % x.denominator, x.denominator)
 
-    def negate(self) -> "SimpleSlope":
-        """The class of -p/q modulo 1."""
-        return SimpleSlope.from_fraction(Fraction(-self.p, self.q))
-
     def __str__(self) -> str:
         return f"[ {self.p}/{self.q} ]"
 

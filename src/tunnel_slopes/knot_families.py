@@ -9,8 +9,9 @@ recognizes by running that formula backwards.  The closed formula is one walk
 over the all-even expansion of (a, b); the expansion of (a, b') is the same
 entries reversed and negated, so two_bridge_tunnels reads both semisimple
 sequences from one expansion.  The module also builds the braid words whose
-upper tunnels are the semisimple ones: the CLI prints them, and
-two_bridge_tunnels refuses K(a, b) by their segment count.
+upper tunnels are the semisimple ones, which the CLI prints;
+two_bridge_tunnels refuses K(a, b) by their segment count, which it reads
+off the even-odd expansions of a/b and a/b' without building the words.
 
 The (p, q) torus knot's tunnels have slope sequences read off the staircase
 of heights ceil(k p / q), and a sequence arising that way can be recognized
@@ -23,7 +24,7 @@ import math
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .braid import SIZE_LIMIT, BraidWord, _trim_within_limit, reverse_word, word
+from .braid import SIZE_LIMIT, BraidWord, reverse_word, word
 from .errors import DomainError
 from .exact_arith import (
     SimpleSlope,
@@ -120,7 +121,9 @@ def two_bridge_tunnels(a: int, b: int) -> TwoBridgeReport:
     The semisimple sequences are the upper slopes of upper_semisimple_word
     for (a, b) and (a, b'), and K(a, b) is refused exactly when the slope
     engine would refuse one of those words: when it splits into more than
-    SIZE_LIMIT segments.  Both sequences are read from expand_all_even(a, b),
+    SIZE_LIMIT segments.  The refusal counts the words' dm letters from the
+    even-odd expansions of a/b and a/b' (see _semisimple_segments) and
+    builds neither word.  Both sequences are read from expand_all_even(a, b),
     the lower one by walking its reversal with every entry negated, which is
     the expansion for (a, b').  expand_all_even counts slopes only for
     (a, b); the segment count is never below the closed form's depth, so the
@@ -128,8 +131,9 @@ def two_bridge_tunnels(a: int, b: int) -> TwoBridgeReport:
     """
     knot = TwoBridge(a, b)
     dual = knot.dual_b
-    _trim_within_limit(upper_semisimple_word(a, b))
-    _trim_within_limit(upper_semisimple_word(a, dual))
+    if max(_semisimple_segments(a, b), _semisimple_segments(a, dual)) > SIZE_LIMIT:
+        # the count itself may be too long to print
+        raise DomainError(f"the word has more than {SIZE_LIMIT} segments (the size limit)")
     entries = expand_all_even(a, b)
     return TwoBridgeReport(
         upper_simple=SlopeSequence(SimpleSlope(dual, a)),
@@ -137,6 +141,22 @@ def two_bridge_tunnels(a: int, b: int) -> TwoBridgeReport:
         lower_simple=SlopeSequence(SimpleSlope(b, a)),
         lower_semisimple=_semisimple_walk([-x for x in reversed(entries)]),
     )
+
+
+def _semisimple_segments(a: int, b: int) -> int:
+    """The number of segments upper_semisimple_word(a, b) splits into.
+
+    That is the sum of |k| over the dm^k letters of the trimmed word, and it
+    equals the sum of |a-step| / 2 over the even-odd expansion of a/b, the
+    steps the word spells as dm^(-a-step/2):
+    - a/b > 1, so the first a-step is at least 2 and the word starts with dm,
+      which the <dl, s> prefix trim leaves;
+    - later a-steps have magnitude at least 2, and b-steps are never 0, so
+      no two dm letters merge;
+    - the word ends in dl^-1, so the <dm, s> suffix trim removes nothing.
+    """
+    cf = expand_odd_numerator(Fraction(a, b))
+    return sum(abs(step) for step in cf[::2]) // 2
 
 
 def upper_semisimple_word(a: int, b: int) -> BraidWord:

@@ -11,7 +11,8 @@ which eliminates the first infinite slope with one helper and absorbs an
 integral first slope with another, reading each slope off a word twisted by
 dl^-t.  The production versions must give the same letters, sequences or
 reports on random, relator-fuzzed and deep inputs, and `two_bridge_tunnels`
-must refuse the same parameters.
+must refuse the same parameters: the segment count it reads off the even-odd
+expansions must be the dm total of the trimmed semisimple braid words.
 """
 
 import math
@@ -46,6 +47,7 @@ from tunnel_slopes.braid import (
     word,
 )
 from tunnel_slopes.exact_arith import INFINITY, expand_odd_numerator
+from tunnel_slopes.knot_families import _semisimple_segments
 from tunnel_slopes.slope_engine import peephole
 
 
@@ -400,3 +402,18 @@ def test_two_bridge_tunnels_refuse_as_the_engine_does_near_the_size_limit():
     # the word's count, not the closed form's depth, decides the refusal
     assert _segment_count(524277, 4) == SIZE_LIMIT + 1
     assert len(semisimple_slopes_closed_form(524277, 4).rest) + 1 == SIZE_LIMIT
+
+
+def _trimmed_dm_total(a, b):
+    trimmed = double_coset_trim(upper_semisimple_word(a, b))
+    return sum(abs(k) for name, k in trimmed.letters if name == "m")
+
+
+def test_semisimple_segment_count_is_the_trimmed_words_dm_total():
+    # b' runs over the same residues as b, so one pass over the coprime pairs
+    # checks the count for c = b and for c = b' alike
+    for a, c in _coprime_pairs(range(3, 402, 2)):
+        assert _semisimple_segments(a, c) == _trimmed_dm_total(a, c), (a, c)
+    for a, b in _NEAR_LIMIT:
+        for c in (b, pow(b, -1, a)):
+            assert _semisimple_segments(a, c) == _trimmed_dm_total(a, c), (a, c)
