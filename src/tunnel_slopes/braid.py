@@ -183,6 +183,11 @@ def double_coset_trim(w: BraidWord) -> BraidWord:
     return word(letters[start:end])
 
 
+# the refusal of a word over the size limit, shared with the 2-bridge report;
+# it leaves the count out, since the count itself may be too long to print
+_TOO_MANY_SEGMENTS = f"the word has more than {SIZE_LIMIT} segments (the size limit)"
+
+
 def segment(w: BraidWord) -> list[BraidWord] | None:
     """Split a word at its dm letters into subgroup segments.
 
@@ -199,8 +204,7 @@ def segment(w: BraidWord) -> list[BraidWord] | None:
     """
     trimmed = double_coset_trim(w)
     if sum(abs(k) for name, k in trimmed.letters if name == "m") > SIZE_LIMIT:
-        # the count itself may be too long to print
-        raise DomainError(f"the word has more than {SIZE_LIMIT} segments (the size limit)")
+        raise DomainError(_TOO_MANY_SEGMENTS)
     if not trimmed:
         return None
     pieces: list[list[Letter]] = []

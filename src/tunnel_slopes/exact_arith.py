@@ -144,7 +144,12 @@ def cf_eval(entries: Sequence[int]) -> ExtRational:
 
 
 def _nearest_even(x: Fraction) -> int:
-    """Even integer nearest to x; a tie (x an odd integer) takes the smaller even."""
+    """Even integer nearest to x.
+
+    It never meets a tie: its one caller, expand_all_even, asks at a step,
+    where x is odd over even, and at a landing, where x is even over odd, so
+    x is never an odd integer.
+    """
     return 2 * math.ceil(Fraction(x - 1, 2))
 
 

@@ -6,7 +6,10 @@ Each has four tunnels: an upper and a lower simple one, whose slope
 sequences are the single classes [b'/a] and [b/a], and an upper and a lower
 semisimple one, whose sequences this module computes by closed formula and
 recognizes by running that formula backwards.  The closed formula is one walk
-over the all-even expansion of (a, b); the expansion of (a, b') is the same
+over the all-even expansion of (a, b).  Run backwards, the walk's parity rule
+(each later slope 2 sign + 1/k has sign minus a unit that flips after every
+even k) is the recognizer's conditions iii and iv, so find_two_bridge checks
+them while it rebuilds the expansion.  The expansion of (a, b') is the same
 entries reversed and negated, so two_bridge_tunnels reads both semisimple
 sequences from one expansion.  The module also builds the braid words whose
 upper tunnels are the semisimple ones, which the CLI prints;
@@ -24,7 +27,7 @@ import math
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .braid import SIZE_LIMIT, BraidWord, reverse_word, word
+from .braid import _TOO_MANY_SEGMENTS, SIZE_LIMIT, BraidWord, reverse_word, word
 from .errors import DomainError
 from .exact_arith import (
     SimpleSlope,
@@ -132,8 +135,7 @@ def two_bridge_tunnels(a: int, b: int) -> TwoBridgeReport:
     knot = TwoBridge(a, b)
     dual = knot.dual_b
     if max(_semisimple_segments(a, b), _semisimple_segments(a, dual)) > SIZE_LIMIT:
-        # the count itself may be too long to print
-        raise DomainError(f"the word has more than {SIZE_LIMIT} segments (the size limit)")
+        raise DomainError(_TOO_MANY_SEGMENTS)
     entries = expand_all_even(a, b)
     return TwoBridgeReport(
         upper_simple=SlopeSequence(SimpleSlope(dual, a)),
@@ -226,7 +228,16 @@ def find_two_bridge(
 
     On success returns (K(a, b), K(a, b')): the sequence is the upper
     semisimple tunnel of the first and the lower semisimple tunnel of the
-    second.  Otherwise returns a Rejection naming the first failed condition.
+    second.  Otherwise returns a Rejection naming the first failed condition,
+    where ii, on every later slope, is checked before iii and iv.
+
+    Conditions i and ii fix n0 and each later slope 2 sign + 1/k; the
+    closed form's walk, run backwards from n0, then fixes every sign.  Its
+    unit starts at -1 for odd n0 and +1 for even n0 and flips after each
+    even k, and each slope's sign must be minus the unit it meets: that
+    parity rule is condition iii on the first later slope and iv on the
+    rest.  So one loop both checks them and builds the all-even entries,
+    which cf_eval turns into a/bhat.
     """
     if not seq:
         return Rejection("i", REJECTION_I)
@@ -237,32 +248,25 @@ def find_two_bridge(
         n0 = -p
     else:
         return Rejection("i", REJECTION_I)
-    signs: list[int] = []
-    ks: list[int] = []
+    slopes: list[int] = []  # sign, k of each slope 2 sign + 1/k in turn
     for x in seq.rest:
         num, den = x.numerator, x.denominator
         if abs(num - 2 * den) == 1:
-            signs.append(1)
-            ks.append(den * (num - 2 * den))
+            slopes += (1, den * (num - 2 * den))
         elif abs(num + 2 * den) == 1:
-            signs.append(-1)
-            ks.append(den * (num + 2 * den))
+            slopes += (-1, den * (num + 2 * den))
         else:
             return Rejection("ii", REJECTION_II)
-    if signs and (signs[0] > 0) != (n0 % 2 != 0):
-        return Rejection("iii", REJECTION_III)
-    for i in range(1, len(signs)):
-        if (signs[i] == signs[i - 1]) != (ks[i - 1] % 2 != 0):
-            return Rejection("iv", REJECTION_IV)
     # the closed form's walk run backwards, one unit step 2 alpha per slope
     # landing on k - (alpha + alpha')/2 (a run of -alpha slopes comes back as
     # landings on 0, which cf_eval merges); built right to left, then reversed
     unit = -1 if n0 % 2 != 0 else 1
     entries = [n0 - (unit - 1) // 2, 2 * unit]
-    for k in ks:
-        prev = unit
-        if k % 2 == 0:
-            unit = -unit
+    for i in range(0, len(slopes), 2):
+        sign, k = slopes[i], slopes[i + 1]
+        if sign != -unit:  # conditions iii and iv: the walk's parity rule
+            return Rejection("iv", REJECTION_IV) if i else Rejection("iii", REJECTION_III)
+        prev, unit = unit, -unit if k % 2 == 0 else unit
         entries += (k - (unit + prev) // 2, 2 * unit)
     entries.reverse()
     x = cf_eval(entries)

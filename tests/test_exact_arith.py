@@ -82,8 +82,9 @@ def test_expand_odd_numerator_golden_values():
 
 
 def test_expand_odd_numerator_tie_breaking():
-    # at an odd integer the even step takes the smaller even neighbor,
-    # at a half-integer the integer step takes the floor
+    # at an odd integer the even step takes the smaller even neighbor; the
+    # integer step never meets a tie (7/2 steps to 4 and leaves -1/2, whose
+    # reciprocal -2 is exact)
     assert expand_odd_numerator(3) == (2, 1)
     assert expand_odd_numerator(1) == (0, 1)
     assert expand_odd_numerator(-13) == (-14, 1)
@@ -132,6 +133,29 @@ def test_expand_all_even_accepts_negative_second_parameter():
     cf = expand_all_even(413, -227)
     assert cf_eval(cf) == Fraction(413, -227 - 413)
     assert len(cf) % 2 == 0 and all(e % 2 == 0 for e in cf) and cf[-1] != 0
+
+
+def test_expand_all_even_never_rounds_a_tie():
+    # each tail cf_eval(entries[i:]) is the x the expansion rounded to its
+    # nearest even entries[i]; a tie would be an odd integer, 1 from each
+    # even neighbour.  The tails are built right to left as p/q, from
+    # INFINITY = 1/0 by p/q -> n + q/p as in cf_eval's loop, so p and q stay
+    # coprime, and the whole expansion's tail is a/bhat.
+    expansions = 0
+    for a in range(3, 202, 2):
+        for b in range(1, a):
+            if math.gcd(a, b) != 1:
+                continue
+            for c in (b, -b):
+                entries = expand_all_even(a, c)
+                p, q = 1, 0
+                for i in reversed(range(len(entries))):
+                    p, q = entries[i] * p + q, p
+                    assert abs(p - entries[i] * q) <= abs(q), (a, c, i)
+                    assert not (abs(q) == 1 and p % 2 != 0), (a, c, i)
+                assert Fraction(p, q) == Fraction(a, c if c % 2 == 0 else c - a), (a, c)
+                expansions += 1
+    assert expansions == 2 * 8282
 
 
 def test_expand_all_even_rejects_bad_inputs():

@@ -190,6 +190,9 @@ def test_find_two_bridge_rejections():
     assert isinstance(result, Rejection) and result.condition == "ii"
     result = find_two_bridge(parse_slopes("1 3 15 8 9 5"))
     assert isinstance(result, Rejection) and result.condition == "iv"
+    # ii wins over an earlier iv mismatch: 11/3 is not 2 +- 1/k
+    result = find_two_bridge(parse_slopes("1 3 15 8 9 5 11 3"))
+    assert isinstance(result, Rejection) and result.condition == "ii"
     result = find_two_bridge(parse_slopes("1 3 -15 8 9 5"))
     assert isinstance(result, Rejection) and result.condition == "iii"
     result = find_two_bridge(parse_slopes("2 7 3 1"))

@@ -13,6 +13,9 @@ dl^-t.  The production versions must give the same letters, sequences or
 reports on random, relator-fuzzed and deep inputs, and `two_bridge_tunnels`
 must refuse the same parameters: the segment count it reads off the even-odd
 expansions must be the dm total of the trimmed semisimple braid words.
+`find_two_bridge` checks conditions iii and iv inside its inverse walk; its
+oracle checks them in passes of their own, and the two must give the same
+match or the same rejection on random sequences near the semisimple ones.
 """
 
 import math
@@ -24,11 +27,13 @@ from fuzzing import apply_fuzz, random_fuzz_plan, random_valid_slopes
 
 from tunnel_slopes import (
     DomainError,
+    Rejection,
     SimpleSlope,
     SlopeSequence,
     TwoBridge,
     TwoBridgeReport,
     braid_from_slopes,
+    find_two_bridge,
     lower_slopes,
     reverse_word,
     semisimple_slopes_closed_form,
@@ -46,8 +51,14 @@ from tunnel_slopes.braid import (
     winding_number,
     word,
 )
-from tunnel_slopes.exact_arith import INFINITY, expand_odd_numerator
-from tunnel_slopes.knot_families import _semisimple_segments
+from tunnel_slopes.exact_arith import INFINITY, cf_eval, expand_odd_numerator
+from tunnel_slopes.knot_families import (
+    REJECTION_I,
+    REJECTION_II,
+    REJECTION_III,
+    REJECTION_IV,
+    _semisimple_segments,
+)
 from tunnel_slopes.slope_engine import peephole
 
 
@@ -417,3 +428,97 @@ def test_semisimple_segment_count_is_the_trimmed_words_dm_total():
     for a, b in _NEAR_LIMIT:
         for c in (b, pow(b, -1, a)):
             assert _semisimple_segments(a, c) == _trimmed_dm_total(a, c), (a, c)
+
+
+def oracle_find_two_bridge(seq):
+    """The recognizer with conditions iii and iv checked in passes of their own.
+
+    It collects each later slope's sign and k in two lists, checks the first
+    sign against the parity of n0 (iii) and each sign change against the k
+    before it (iv), and only then rebuilds the all-even expansion.
+    """
+    if not seq:
+        return Rejection("i", REJECTION_I)
+    p, q = seq.first.p, seq.first.q
+    if p == (q - 1) // 2:
+        n0 = p
+    elif p == (q + 1) // 2:
+        n0 = -p
+    else:
+        return Rejection("i", REJECTION_I)
+    signs = []
+    ks = []
+    for x in seq.rest:
+        num, den = x.numerator, x.denominator
+        if abs(num - 2 * den) == 1:
+            signs.append(1)
+            ks.append(den * (num - 2 * den))
+        elif abs(num + 2 * den) == 1:
+            signs.append(-1)
+            ks.append(den * (num + 2 * den))
+        else:
+            return Rejection("ii", REJECTION_II)
+    if signs and (signs[0] > 0) != (n0 % 2 != 0):
+        return Rejection("iii", REJECTION_III)
+    for i in range(1, len(signs)):
+        if (signs[i] == signs[i - 1]) != (ks[i - 1] % 2 != 0):
+            return Rejection("iv", REJECTION_IV)
+    unit = -1 if n0 % 2 != 0 else 1
+    entries = [n0 - (unit - 1) // 2, 2 * unit]
+    for k in ks:
+        prev = unit
+        if k % 2 == 0:
+            unit = -unit
+        entries += (k - (unit + prev) // 2, 2 * unit)
+    entries.reverse()
+    x = cf_eval(entries)
+    assert isinstance(x, Fraction)
+    a = abs(x.numerator)
+    bhat = x.denominator if x.numerator > 0 else -x.denominator
+    knot = TwoBridge(a, bhat % a)
+    return (knot, TwoBridge(a, knot.dual_b))
+
+
+def _recognizer_draw(rng):
+    """A random sequence near the 2-bridge semisimple ones.
+
+    The first slope is [n0/(2n0 + 1)] with n0 not in {-1, 0}, or on about one
+    draw in five any class; one draw in 50 is empty.  Each later slope is
+    2 sign + 1/k, its sign as conditions iii and iv want it but flipped about
+    one time in 8, or about one time in 25 any fraction with odd numerator.
+    About one k in 40 has 20-30 digits.
+    """
+    if rng.random() < 0.02:
+        return SlopeSequence()
+    n0 = rng.choice([n for n in range(-30, 31) if n not in (-1, 0)])
+    if rng.random() < 0.2:
+        q = 2 * rng.randint(1, 30) + 1
+        first = SimpleSlope.from_fraction(Fraction(rng.randrange(1, q), q))
+    else:
+        first = SimpleSlope.from_fraction(Fraction(n0, 2 * n0 + 1))
+    sign = 1 if n0 % 2 != 0 else -1
+    rest = []
+    k = 1  # the k before the first later slope: odd, so iii sets its sign
+    for _ in range(rng.randint(0, 8)):
+        if k % 2 == 0:
+            sign = -sign
+        k = rng.choice([n for n in range(-20, 21) if n])
+        if rng.random() < 0.025:
+            k *= rng.randrange(10**19, 10**30)
+        roll = rng.random()
+        if roll < 0.04:
+            rest.append(_random_fraction(rng, 99))
+        else:
+            rest.append(2 * (-sign if roll < 0.16 else sign) + Fraction(1, k))
+    return SlopeSequence(first, tuple(rest))
+
+
+def test_find_two_bridge_matches_oracle_on_random_sequences():
+    rng = Random(1006)
+    outcomes = {"i": 0, "ii": 0, "iii": 0, "iv": 0, "match": 0}
+    for _ in range(20_000):
+        seq = _recognizer_draw(rng)
+        result = find_two_bridge(seq)
+        assert result == oracle_find_two_bridge(seq), seq
+        outcomes[result.condition if isinstance(result, Rejection) else "match"] += 1
+    assert min(outcomes.values()) >= 1000, outcomes
