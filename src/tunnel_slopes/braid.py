@@ -221,14 +221,12 @@ def segment(w: BraidWord) -> list[BraidWord] | None:
     return [word([("s", -1)] + piece) for piece in reversed(pieces)]
 
 
-def subgroup_slope(u: BraidWord) -> ExtRational:
-    """Slope of the disk obtained by pushing the primitive disk through u.
+def _subgroup_column(u: BraidWord) -> tuple[int, int]:
+    """The column (a, b) that the action of u makes of (1, 0).
 
-    u must lie in the subgroup < dl, s >.  The result is a rational with odd
-    numerator, or INFINITY for the dl-axis (in particular for the empty word).
-
-    >>> subgroup_slope(parse_word("s 3 l -1"))
-    Fraction(7, 3)
+    u must lie in the subgroup < dl, s >.  Read left to right, s^e adds
+    e a to b and dl^e subtracts 2 e b from a.  Each step is unimodular, so
+    gcd(a, b) = 1, and a stays odd; b == 0 is the dl-axis, where a = +-1.
     """
     a, b = 1, 0
     for name, exponent in u.letters:
@@ -239,6 +237,23 @@ def subgroup_slope(u: BraidWord) -> ExtRational:
         else:
             raise DomainError("word leaves the subgroup < dl, s >")
     assert a % 2 == 1
+    return a, b
+
+
+def subgroup_slope(u: BraidWord) -> ExtRational:
+    """Slope of the disk obtained by pushing the primitive disk through u.
+
+    u must lie in the subgroup < dl, s >.  The slope is a/b for the column
+    (a, b) that u's action makes of (1, 0): a rational with odd numerator,
+    or INFINITY for the dl-axis b == 0 (in particular for the empty word).
+    The action is unimodular, so the column is coprime and a/b is already
+    in lowest terms; the slope engine keeps the pair itself as the slope
+    and takes no gcd.
+
+    >>> subgroup_slope(parse_word("s 3 l -1"))
+    Fraction(7, 3)
+    """
+    a, b = _subgroup_column(u)
     if b == 0:
         return INFINITY
     return Fraction(a, b)

@@ -17,20 +17,14 @@ from .braid import (
     Letter,
     _parse_int,
     _push,
+    _subgroup_column,
     reverse_word,
     segment,
-    subgroup_slope,
     winding_number,
     word,
 )
 from .errors import DomainError, ParseError
-from .exact_arith import (
-    INFINITY,
-    ExtRational,
-    SimpleSlope,
-    _Value,
-    expand_odd_numerator,
-)
+from .exact_arith import SimpleSlope, _Value, expand_odd_numerator
 
 __all__ = [
     "SlopeSequence",
@@ -115,19 +109,25 @@ def parse_slopes(text: str) -> SlopeSequence:
 _MS = word([("m", 1), ("s", 1)])
 
 
-def _segment_slopes(omegas: Sequence[BraidWord]) -> list[ExtRational]:
+def _segment_slopes(omegas: Sequence[BraidWord]) -> list[tuple[int, int]]:
     """Slope of each segment, untwisted by the winding t of the word right of it.
 
-    Untwisting reads omega dl^-t, and appending dl^t to a word u of
-    < dl, s > maps its slope a/b to (a - 2 t b)/b, so the untwisted slope is
-    subgroup_slope(omega) + 2t, and INFINITY (b = 0) stays INFINITY.
+    A slope is kept as an integer pair (p, q) standing for p/q.  A segment's
+    action makes the column (a, b) of (1, 0), its slope a/b, and appending
+    dl^t to a word u of < dl, s > maps that slope to (a - 2tb)/b; so the
+    untwisted slope is (a + 2tb, b), signed so that q >= 0, and q == 0 is the
+    dl-axis, the slope INFINITY.  No gcd is taken: the action is unimodular,
+    so gcd(a, b) = 1, and gcd(a + 2tb, b) = gcd(a, b), so every pair is
+    already in lowest terms.
     """
-    slopes: list[ExtRational] = []
+    slopes: list[tuple[int, int]] = []
     suffix = BraidWord()
     for omega in omegas:
         twist = winding_number(suffix)
-        slope = subgroup_slope(omega)
-        slopes.append(slope if slope is INFINITY else slope + 2 * twist)
+        a, b = _subgroup_column(omega)
+        if b < 0:
+            a, b = -a, -b
+        slopes.append((a + 2 * twist * b, b))
         suffix = _MS * omega * suffix
     return slopes
 
@@ -153,18 +153,21 @@ def upper_slopes(w: BraidWord) -> SlopeSequence:
     """Slope sequence of the upper tunnel of the position described by w.
 
     Each round merges one segment away with _eliminate: the first segment
-    whose slope degenerates to INFINITY, or else the rightmost segment when
-    it carries an integral first slope.  The rounds stop at the reduced form
-    (possibly empty).
+    whose slope degenerates to INFINITY (q == 0 in its pair from
+    _segment_slopes), or else the rightmost segment when it carries an
+    integral first slope (|p| == 1, since the first slope is q/p).  The
+    rounds stop at the reduced form (possibly empty).  There every pair is
+    in lowest terms with q > 0, so Fractions are built only for the
+    returned sequence, with no gcd taken in the rounds.
     """
     omegas = segment(w)
     while omegas:
         slopes = _segment_slopes(omegas)
-        infinite = next((i for i, s in enumerate(slopes) if s is INFINITY), None)
-        if infinite is None and abs(slopes[0].numerator) != 1:
-            s0 = slopes[0]
-            first = SimpleSlope.from_fraction(Fraction(s0.denominator, s0.numerator))
-            return SlopeSequence(first, tuple(slopes[1:]))
+        infinite = next((i for i, (_, q) in enumerate(slopes) if q == 0), None)
+        if infinite is None and abs(slopes[0][0]) != 1:
+            p, q = slopes[0]
+            first = SimpleSlope.from_fraction(Fraction(q, p))
+            return SlopeSequence(first, tuple(Fraction(p, q) for p, q in slopes[1:]))
         omegas = _eliminate(omegas, 0 if infinite is None else infinite)
     return SlopeSequence()
 

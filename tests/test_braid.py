@@ -1,5 +1,6 @@
 """Braid words: parsing, canonical form, winding, trimming, segments, slopes."""
 
+import math
 import random
 import sys
 from fractions import Fraction
@@ -8,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fuzzing import random_subgroup_word
 from tunnel_slopes import BraidWord, DomainError, ParseError, format_word, parse_word, reverse_word
 from tunnel_slopes.braid import (
     SIZE_LIMIT,
     Letter,
+    _subgroup_column,
     double_coset_trim,
     segment,
     subgroup_slope,
@@ -246,6 +249,25 @@ def test_subgroup_slope_of_a_twisted_word_shifts_by_twice_the_twist(letters, t):
         assert twisted is INFINITY
     else:
         assert twisted == slope - 2 * t
+
+
+def test_subgroup_column_is_a_coprime_pair_with_odd_first_entry():
+    # the slope engine carries the untwisted slope as the pair (a + 2tb, b)
+    # and takes no gcd, which rests on these three facts
+    dl_axis = negative = 0
+    for seed in range(2000):
+        u = random_subgroup_word(seed, "ls", 1 + seed % 12)
+        a, b = _subgroup_column(u)
+        assert a % 2 == 1 and math.gcd(a, b) == 1, u
+        for t in range(-5, 6):
+            assert math.gcd(a + 2 * t * b, b) == 1, (u, t)
+        if b == 0:
+            dl_axis += 1
+            assert subgroup_slope(u) is INFINITY and abs(a) == 1, u
+        else:
+            negative += b < 0
+            assert subgroup_slope(u) == Fraction(a, b), u
+    assert dl_axis >= 100 and negative >= 100
 
 
 def test_subgroup_normal_form_pins_and_properties():
