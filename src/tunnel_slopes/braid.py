@@ -247,8 +247,8 @@ def subgroup_slope(u: BraidWord) -> ExtRational:
     (a, b) that u's action makes of (1, 0): a rational with odd numerator,
     or INFINITY for the dl-axis b == 0 (in particular for the empty word).
     The action is unimodular, so the column is coprime and a/b is already
-    in lowest terms; the slope engine keeps the pair itself as the slope
-    and takes no gcd.
+    in lowest terms; the slope engine untwists the numerator and denominator
+    as integers, with no gcd.
 
     >>> subgroup_slope(parse_word("s 3 l -1"))
     Fraction(7, 3)

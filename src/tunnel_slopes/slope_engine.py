@@ -17,14 +17,14 @@ from .braid import (
     Letter,
     _parse_int,
     _push,
-    _subgroup_column,
     reverse_word,
     segment,
+    subgroup_slope,
     winding_number,
     word,
 )
 from .errors import DomainError, ParseError
-from .exact_arith import SimpleSlope, _Value, expand_odd_numerator
+from .exact_arith import INFINITY, SimpleSlope, _Value, expand_odd_numerator
 
 __all__ = [
     "SlopeSequence",
@@ -112,22 +112,22 @@ _MS = word([("m", 1), ("s", 1)])
 def _segment_slopes(omegas: Sequence[BraidWord]) -> list[tuple[int, int]]:
     """Slope of each segment, untwisted by the winding t of the word right of it.
 
-    A slope is kept as an integer pair (p, q) standing for p/q.  A segment's
-    action makes the column (a, b) of (1, 0), its slope a/b, and appending
-    dl^t to a word u of < dl, s > maps that slope to (a - 2tb)/b; so the
-    untwisted slope is (a + 2tb, b), signed so that q >= 0, and q == 0 is the
-    dl-axis, the slope INFINITY.  No gcd is taken: the action is unimodular,
-    so gcd(a, b) = 1, and gcd(a + 2tb, b) = gcd(a, b), so every pair is
-    already in lowest terms.
+    A slope is kept as the integer pair (p, q) standing for p/q.  Appending
+    dl^t to a word u of < dl, s > maps u's slope a/b to (a - 2tb)/b, so the
+    untwisted slope is the pair (a + 2tb, b).  No gcd is taken: subgroup_slope
+    gives a/b in lowest terms, and gcd(a + 2tb, b) = gcd(a, b) = 1.  The
+    dl-axis, INFINITY, is the pair (1, 0).
     """
     slopes: list[tuple[int, int]] = []
     suffix = BraidWord()
     for omega in omegas:
         twist = winding_number(suffix)
-        a, b = _subgroup_column(omega)
-        if b < 0:
-            a, b = -a, -b
-        slopes.append((a + 2 * twist * b, b))
+        slope = subgroup_slope(omega)
+        if slope is INFINITY:
+            slopes.append((1, 0))
+        else:
+            b = slope.denominator
+            slopes.append((slope.numerator + 2 * twist * b, b))
         suffix = _MS * omega * suffix
     return slopes
 
@@ -156,9 +156,8 @@ def upper_slopes(w: BraidWord) -> SlopeSequence:
     whose slope degenerates to INFINITY (q == 0 in its pair from
     _segment_slopes), or else the rightmost segment when it carries an
     integral first slope (|p| == 1, since the first slope is q/p).  The
-    rounds stop at the reduced form (possibly empty).  There every pair is
-    in lowest terms with q > 0, so Fractions are built only for the
-    returned sequence, with no gcd taken in the rounds.
+    rounds stop at the reduced form (possibly empty); Fractions are built
+    only for the sequence returned there.
     """
     omegas = segment(w)
     while omegas:

@@ -252,7 +252,7 @@ def test_subgroup_slope_of_a_twisted_word_shifts_by_twice_the_twist(letters, t):
 
 
 def test_subgroup_column_is_a_coprime_pair_with_odd_first_entry():
-    # the slope engine carries the untwisted slope as the pair (a + 2tb, b)
+    # the slope engine untwists subgroup_slope's a/b to the pair (a + 2tb, b)
     # and takes no gcd, which rests on these three facts
     dl_axis = negative = 0
     for seed in range(2000):

@@ -10,18 +10,15 @@ semisimple braid words; and `upper_slopes` by its two-rule reduction loop,
 which eliminates the first infinite slope with one helper and absorbs an
 integral first slope with another, reading each slope off a word twisted by
 dl^-t.  The production versions must give the same letters, sequences or
-reports on random, relator-fuzzed and deep inputs, the integer pairs that
-stand for slopes in `upper_slopes`' rounds must be the oracle's slopes in
-lowest terms, and `two_bridge_tunnels` must refuse the same parameters: the
-segment count it reads off the even-odd expansions must be the dm total of
-the trimmed semisimple braid words.
+reports on random, relator-fuzzed and deep inputs, and `two_bridge_tunnels`
+must refuse the same parameters: the segment count it reads off the even-odd
+expansions must be the dm total of the trimmed semisimple braid words.
 `find_two_bridge` checks conditions iii and iv inside its inverse walk; its
 oracle checks them in passes of their own, and the two must give the same
 match or the same rejection on random sequences near the semisimple ones.
 """
 
 import math
-from collections import Counter
 from fractions import Fraction
 from functools import partial
 from random import Random
@@ -48,7 +45,6 @@ from tunnel_slopes import slope_engine
 from tunnel_slopes.braid import (
     SIZE_LIMIT,
     BraidWord,
-    _subgroup_column,
     double_coset_trim,
     segment,
     subgroup_slope,
@@ -268,47 +264,6 @@ def test_lower_slopes_matches_oracle_on_deep_sequences():
         assert lower == oracle_upper_slopes(reverse_word(w)), w
         assert upper_slopes(w) == oracle_upper_slopes(w), w
     assert max(depths) >= 40
-
-
-def _oracle_rounds(w):
-    """The segments of each round of oracle_upper_slopes, first to last."""
-    omegas = segment(w)
-    while omegas:
-        yield omegas
-        slopes = _oracle_segment_slopes(omegas)
-        infinite = next((i for i, s in enumerate(slopes) if s is INFINITY), None)
-        if infinite is not None:
-            omegas = _oracle_eliminate(omegas, infinite)
-        elif abs(slopes[0].numerator) == 1:
-            omegas = _oracle_absorb_first(omegas)
-        else:
-            return
-
-
-def test_segment_slope_pairs_are_the_oracle_slopes_in_lowest_terms():
-    # upper_slopes reads a pair only through q == 0, |p| and Fraction, none of
-    # which sees the pair's sign; this pins the pair itself: (numerator,
-    # denominator) of the untwisted slope, and (+-1, 0) for INFINITY
-    rng = Random(1805)
-    columns = Counter()
-    for _ in range(3000):
-        w = _random_word(rng)
-        for u in (w, reverse_word(w)):
-            for omegas in _oracle_rounds(u):
-                pairs = slope_engine._segment_slopes(omegas)
-                slopes = _oracle_segment_slopes(omegas)
-                assert len(pairs) == len(slopes), u
-                for i, ((p, q), slope, omega) in enumerate(zip(pairs, slopes, omegas)):
-                    if slope is INFINITY:
-                        assert q == 0 and abs(p) == 1, (u, i)
-                    else:
-                        assert (p, q) == (slope.numerator, slope.denominator), (u, i)
-                    b = _subgroup_column(omega)[1]
-                    where = "first" if i == 0 else "last" if i == len(omegas) - 1 else "middle"
-                    columns[where, (b > 0) - (b < 0)] += 1
-    # a negative column and the dl-axis both turn up at every position
-    for where in ("first", "middle", "last"):
-        assert columns[where, -1] >= 50 and columns[where, 0] >= 50, columns
 
 
 def oracle_expand_odd_numerator(x):
