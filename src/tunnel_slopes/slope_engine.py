@@ -110,24 +110,30 @@ _MS = word([("m", 1), ("s", 1)])
 
 
 def _segment_slopes(omegas: Sequence[BraidWord]) -> list[tuple[int, int]]:
-    """Slope of each segment, untwisted by the winding t of the word right of it.
+    """Slopes of the segments from the rightmost up to the first at INFINITY.
 
-    A slope is kept as the integer pair (p, q) standing for p/q.  Appending
-    dl^t to a word u of < dl, s > maps u's slope a/b to (a - 2tb)/b, so the
-    untwisted slope is the pair (a + 2tb, b).  No gcd is taken: subgroup_slope
-    gives a/b in lowest terms, and gcd(a + 2tb, b) = gcd(a, b) = 1.  The
-    dl-axis, INFINITY, is the pair (1, 0).
+    Each slope is untwisted by the winding t of the word right of its
+    segment, and kept as the integer pair (p, q) standing for p/q.
+    Appending dl^t to a word u of < dl, s > maps u's slope a/b to
+    (a - 2tb)/b, so the untwisted slope is the pair (a + 2tb, b).  No gcd
+    is taken: subgroup_slope gives a/b in lowest terms, and gcd(a + 2tb, b)
+    = gcd(a, b) = 1.  The dl-axis, INFINITY, is the pair (1, 0).
+
+    Reading stops at the first INFINITY, segment i say, and it is the last
+    pair returned; only the suffix words right of segment i are built.  The
+    slopes left of it are never needed: the round merges segment i with its
+    neighbours, and the next round reads every slope left of the merge
+    again.  With no INFINITY, every segment's slope is returned.
     """
     slopes: list[tuple[int, int]] = []
     suffix = BraidWord()
     for omega in omegas:
-        twist = winding_number(suffix)
         slope = subgroup_slope(omega)
         if slope is INFINITY:
             slopes.append((1, 0))
-        else:
-            b = slope.denominator
-            slopes.append((slope.numerator + 2 * twist * b, b))
+            break
+        b = slope.denominator
+        slopes.append((slope.numerator + 2 * winding_number(suffix) * b, b))
         suffix = _MS * omega * suffix
     return slopes
 
@@ -152,22 +158,28 @@ def _eliminate(omegas: Sequence[BraidWord], i: int) -> list[BraidWord]:
 def upper_slopes(w: BraidWord) -> SlopeSequence:
     """Slope sequence of the upper tunnel of the position described by w.
 
-    Each round merges one segment away with _eliminate: the first segment
-    whose slope degenerates to INFINITY (q == 0 in its pair from
-    _segment_slopes), or else the rightmost segment when it carries an
-    integral first slope (|p| == 1, since the first slope is q/p).  The
-    rounds stop at the reduced form (possibly empty); Fractions are built
-    only for the sequence returned there.
+    Each round reads slopes with _segment_slopes, from segment 0 (the
+    rightmost) upward, and stops at the first that degenerates to INFINITY
+    (q == 0 in its pair); that segment is merged away with _eliminate.  The
+    slopes left of it are never read in that round, since the merge takes
+    in its neighbours and the next round reads them all again.  A round
+    with no INFINITY reads every slope; it merges the rightmost segment
+    away when it carries an integral first slope (|p| == 1, since the first
+    slope is q/p), and otherwise its slopes are the reduced form.  The
+    rounds stop there (possibly at the empty sequence); Fractions are built
+    only for the sequence returned.
     """
     omegas = segment(w)
     while omegas:
         slopes = _segment_slopes(omegas)
-        infinite = next((i for i, (_, q) in enumerate(slopes) if q == 0), None)
-        if infinite is None and abs(slopes[0][0]) != 1:
+        if slopes[-1][1] == 0:
+            omegas = _eliminate(omegas, len(slopes) - 1)
+        elif abs(slopes[0][0]) == 1:
+            omegas = _eliminate(omegas, 0)
+        else:
             p, q = slopes[0]
             first = SimpleSlope.from_fraction(Fraction(q, p))
             return SlopeSequence(first, tuple(Fraction(p, q) for p, q in slopes[1:]))
-        omegas = _eliminate(omegas, 0 if infinite is None else infinite)
     return SlopeSequence()
 
 

@@ -24,7 +24,8 @@ from tunnel_slopes import (
     reverse_word,
     upper_slopes,
 )
-from tunnel_slopes.braid import word
+from tunnel_slopes import slope_engine
+from tunnel_slopes.braid import subgroup_slope, word
 from tunnel_slopes.slope_engine import peephole
 
 WORKED_WORD = "m -1 s -1 l 1 m -1 s 3 l -1"
@@ -101,6 +102,22 @@ def test_upper_slopes_pinned_values():
     )
     assert upper_slopes(parse_word("l 5 s 2")) == SlopeSequence(None, ())
     assert upper_slopes(word([])) == SlopeSequence(None, ())
+
+
+def test_upper_slopes_stops_each_round_at_its_first_infinite_slope(monkeypatch):
+    reads = []
+
+    def counted(u):
+        reads.append(u)
+        return subgroup_slope(u)
+
+    monkeypatch.setattr(slope_engine, "subgroup_slope", counted)
+    w = parse_word("m -1 s -1 m 3 s 2 l 1 m -1 s 2 l 1")
+    assert format_slopes(upper_slopes(w)) == "[ 2/7 ], -5, -5"
+    # Of five segments, segment 1 lies on the dl-axis: the first round reads
+    # two slopes, not five.  The merge leaves three, and the second round,
+    # finding no infinite slope, reads all three.
+    assert len(reads) == 2 + 3
 
 
 def test_lower_slopes_is_upper_of_reverse():
