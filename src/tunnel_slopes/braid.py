@@ -41,7 +41,14 @@ Letter = tuple[str, int]
 
 
 class BraidWord(_Value):
-    """A canonical word: merged runs, no zero exponents."""
+    """A canonical word: merged runs, no zero exponents.
+
+    The constructor does not check that invariant; `word` builds a
+    canonical word from any letters, and every function in this package
+    returns canonical words.  reverse_word, double_coset_trim and segment
+    rely on the invariant: they reverse, slice or split the letters of a
+    canonical word without merging them again.
+    """
 
     __slots__ = ("letters",)
 
@@ -67,7 +74,11 @@ def word(letters: Iterable[Letter]) -> BraidWord:
     for name, exponent in letters:
         if name not in GENERATORS:
             raise DomainError(f"unknown generator {name!r}")
-        _push(stack, name, exponent)
+        # _push, inline: this loop sees every letter of every word
+        if stack and stack[-1][0] == name:
+            exponent += stack.pop()[1]
+        if exponent:
+            stack.append((name, exponent))
     return BraidWord(tuple(stack))
 
 
@@ -141,9 +152,10 @@ def reverse_word(w: BraidWord) -> BraidWord:
     """Reverse the letter order and exchange dm with dl.
 
     This is the automorphism that exchanges the upper and lower tunnel data
-    of the position the word describes.
+    of the position the word describes.  The reverse of a canonical word
+    is canonical, so its letters are not merged again.
     """
-    return word((_SWAP[name], exponent) for name, exponent in reversed(w.letters))
+    return BraidWord(tuple((_SWAP[name], e) for name, e in reversed(w.letters)))
 
 
 def winding_number(w: BraidWord) -> int:
@@ -171,16 +183,17 @@ def double_coset_trim(w: BraidWord) -> BraidWord:
     """Strip the maximal <dl, s> prefix and the maximal <dm, s> suffix.
 
     Words equal up to those cosets describe the same position; a word that
-    trims to nothing describes the trivial knot.
+    trims to nothing describes the trivial knot.  A slice of a canonical
+    word is canonical, so the kept letters are not merged again.
     """
-    letters = list(w.letters)
+    letters = w.letters
     start = 0
     while start < len(letters) and letters[start][0] in ("l", "s"):
         start += 1
     end = len(letters)
     while end > start and letters[end - 1][0] in ("m", "s"):
         end -= 1
-    return word(letters[start:end])
+    return BraidWord(letters[start:end])
 
 
 # the refusal of a word over the size limit, shared with the 2-bridge report;
@@ -199,6 +212,12 @@ def segment(w: BraidWord) -> list[BraidWord] | None:
     letter has no piece to close) and opens k - 1 pieces with s^2 and one
     with s.  Returns None when the word trims to nothing (the trivial knot).
 
+    Each piece starts as its s^-1 (so s^-1 s^2 = s, and s^-1 s is empty)
+    and its letters are pushed onto it with _push, so it is built
+    canonical and no piece is canonicalized again.  The trimmed word being
+    canonical, a merge can happen only at a piece's start and at the s
+    that closes it.
+
     Either way dm^+-k makes k pieces; a word that would make more than
     SIZE_LIMIT raises DomainError before any piece is built.
     """
@@ -210,15 +229,15 @@ def segment(w: BraidWord) -> list[BraidWord] | None:
     pieces: list[list[Letter]] = []
     for name, exponent in trimmed.letters:
         if name != "m":
-            pieces[-1].append((name, exponent))
+            _push(pieces[-1], name, exponent)
         elif exponent > 0:
-            pieces.extend([] for _ in range(exponent))
+            pieces.extend([("s", -1)] for _ in range(exponent))
         else:
             if pieces:
-                pieces[-1].append(("s", 1))
-            pieces.extend([("s", 2)] for _ in range(-exponent - 1))
-            pieces.append([("s", 1)])
-    return [word([("s", -1)] + piece) for piece in reversed(pieces)]
+                _push(pieces[-1], "s", 1)
+            pieces.extend([("s", 1)] for _ in range(-exponent - 1))
+            pieces.append([])
+    return [BraidWord(tuple(piece)) for piece in reversed(pieces)]
 
 
 def _subgroup_column(u: BraidWord) -> tuple[int, int]:

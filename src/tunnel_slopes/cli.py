@@ -2,9 +2,10 @@
 
 Braid words are given as generator/exponent pairs ("m 3 s -2 l 3"), slope
 sequences as flat numerator/denominator pair lists ("21 25 341 60 -13 1");
-both may be quoted as a single argument or spread over several, with
-brackets and commas ignored.  Every subcommand accepts --json for a
-machine-readable form of the same numbers.
+both may be quoted as a single argument or spread over several.  Brackets
+and commas are ignored in slope sequences only; in a braid word they are
+part of a token, so "[m 3, s -2]" does not parse.  Every subcommand accepts
+--json for a machine-readable form of the same numbers.
 
 A command line takes one of two routes to the same namespace.  A well-formed
 line is read directly, without importing argparse: a known command, then

@@ -243,6 +243,16 @@ def test_parse_error_exits_two():
     assert err.startswith("error:")
 
 
+def test_brackets_and_commas_do_not_parse_in_a_braid_word():
+    # slope lists ignore them; braid words take them as part of a token
+    code, out, err = run_cli(["upperSlopes", "[m 3, s -2, l 3]"])
+    assert (code, out) == (2, "")
+    assert err == "error: token 1: expected one of m, l, s, got '[m'\n"
+    code, out, err = run_cli(["braidWord", "[21 25, 341 60]"])
+    assert (code, err) == (0, "")
+    assert out == "m 1 s -2 l 3 s -3 m 1 s -3 l 2 s -1 l -1\n"
+
+
 def test_unknown_command_exits_two():
     with pytest.raises(SystemExit) as info:
         run_cli(["noSuchCommand"])

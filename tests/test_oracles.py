@@ -16,12 +16,23 @@ expansions must be the dm total of the trimmed semisimple braid words.
 `find_two_bridge` checks conditions iii and iv inside its inverse walk; its
 oracle checks them in passes of their own, and the two must give the same
 match or the same rejection on random sequences near the semisimple ones.
+
+The word layer once canonicalized every word it made: `word` as a fold of
+the one-letter merge, and `reverse_word`, `double_coset_trim` and each
+`segment` piece by passing their letters through `word` again.  Its oracles
+keep that code; the production versions reverse, slice and split canonical
+words as they are, and must give the same letters and the same errors.
+Every word-returning public function must return a canonical word.
 """
 
 import math
 from fractions import Fraction
 from functools import partial
 from random import Random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuzzing import apply_fuzz, random_fuzz_plan, random_valid_slopes
 
@@ -43,9 +54,12 @@ from tunnel_slopes import (
 )
 from tunnel_slopes import slope_engine
 from tunnel_slopes.braid import (
+    GENERATORS,
     SIZE_LIMIT,
     BraidWord,
+    _push,
     double_coset_trim,
+    parse_word,
     segment,
     subgroup_slope,
     winding_number,
@@ -58,6 +72,9 @@ from tunnel_slopes.knot_families import (
     REJECTION_III,
     REJECTION_IV,
     _semisimple_segments,
+    lower_simple_word,
+    toroidal_braid_word,
+    torus_braid_word,
 )
 from tunnel_slopes.slope_engine import peephole
 
@@ -175,6 +192,169 @@ def test_deep_words_match_oracles(monkeypatch):
         for w in (spelled, built, reverse_word(spelled), reverse_word(built)):
             _assert_same_as_oracles(w)
     assert rewritten >= 10
+
+
+def oracle_word(letters):
+    """A fold of _push over the letters: each merges into the top of the stack."""
+    stack = []
+    for name, exponent in letters:
+        if name not in GENERATORS:
+            raise DomainError(f"unknown generator {name!r}")
+        _push(stack, name, exponent)
+    return BraidWord(tuple(stack))
+
+
+def oracle_reverse_word(w):
+    """Reverse the letters, swap dm and dl, and canonicalize the result again."""
+    swap = {"m": "l", "l": "m", "s": "s"}
+    return oracle_word((swap[name], exponent) for name, exponent in reversed(w.letters))
+
+
+def oracle_double_coset_trim(w):
+    """Strip the <dl, s> prefix and the <dm, s> suffix, then canonicalize again."""
+    letters = list(w.letters)
+    start = 0
+    while start < len(letters) and letters[start][0] in ("l", "s"):
+        start += 1
+    end = len(letters)
+    while end > start and letters[end - 1][0] in ("m", "s"):
+        end -= 1
+    return oracle_word(letters[start:end])
+
+
+def oracle_piecewise_segment(w):
+    """Split the trimmed word at dm, then canonicalize s^-1 and each piece.
+
+    The size check is left out: the words drawn here are far below it, and
+    tests/test_braid.py pins segment's refusal.
+    """
+    trimmed = oracle_double_coset_trim(w)
+    if not trimmed:
+        return None
+    pieces = []
+    for name, exponent in trimmed.letters:
+        if name != "m":
+            pieces[-1].append((name, exponent))
+        elif exponent > 0:
+            pieces.extend([] for _ in range(exponent))
+        else:
+            if pieces:
+                pieces[-1].append(("s", 1))
+            pieces.extend([("s", 2)] for _ in range(-exponent - 1))
+            pieces.append([("s", 1)])
+    return [oracle_word([("s", -1)] + piece) for piece in reversed(pieces)]
+
+
+_exponents = st.integers(-4, 4)  # zero included
+_letter_lists = st.lists(st.tuples(st.sampled_from(GENERATORS), _exponents), max_size=16)
+
+
+@st.composite
+def _cancelling_letter_lists(draw):
+    """Letters, then their inverse, between two more lists: the merges cascade."""
+    inner = draw(_letter_lists)
+    inverse = [(name, -exponent) for name, exponent in reversed(inner)]
+    return draw(_letter_lists) + inner + inverse + draw(_letter_lists)
+
+
+@st.composite
+def _letter_lists_with_a_bad_name(draw):
+    letters = draw(_letter_lists)
+    position = draw(st.integers(0, len(letters)))
+    bad = (draw(st.sampled_from(("x", "M", "dm", ""))), draw(_exponents))
+    return letters[:position] + [bad] + letters[position:]
+
+
+@st.composite
+def _canonical_words(draw):
+    """Words built letter by letter as canonical, with dm^+-k runs up to k = 6."""
+    letters = []
+    for _ in range(draw(st.integers(0, 14))):
+        name = draw(st.sampled_from([n for n in GENERATORS if not letters or n != letters[-1][0]]))
+        bound = 6 if name == "m" else 4
+        letters.append((name, draw(st.integers(-bound, bound).filter(bool))))
+    return BraidWord(tuple(letters))
+
+
+def _assert_word_layer_matches_oracles(w):
+    assert reverse_word(w).letters == oracle_reverse_word(w).letters, w
+    assert double_coset_trim(w).letters == oracle_double_coset_trim(w).letters, w
+    assert _piece_letters(segment(w)) == _piece_letters(oracle_piecewise_segment(w)), w
+
+
+@settings(max_examples=300, derandomize=True)
+@given(st.one_of(_letter_lists, _cancelling_letter_lists(), _letter_lists_with_a_bad_name()))
+def test_word_layer_matches_oracles_on_letter_lists(letters):
+    if any(name not in GENERATORS for name, _ in letters):
+        with pytest.raises(DomainError) as production:
+            word(letters)
+        with pytest.raises(DomainError) as oracle:
+            oracle_word(letters)
+        assert str(production.value) == str(oracle.value)
+        return
+    w = word(letters)
+    assert w.letters == oracle_word(letters).letters, letters
+    _assert_word_layer_matches_oracles(w)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(_canonical_words())
+def test_word_layer_matches_oracles_on_canonical_words(w):
+    assert word(w.letters) == w
+    _assert_word_layer_matches_oracles(w)
+
+
+def _assert_canonical(w):
+    assert isinstance(w, BraidWord) and isinstance(w.letters, tuple), w
+    for name, exponent in w.letters:
+        assert name in GENERATORS and isinstance(exponent, int) and exponent, w
+    assert all(x[0] != y[0] for x, y in zip(w.letters, w.letters[1:])), w
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    letters=st.one_of(_letter_lists, _cancelling_letter_lists()),
+    other=_letter_lists,
+    seed=st.integers(0, 10**6),
+    a_half=st.integers(1, 200),
+    b=st.integers(1, 400),
+    p=st.integers(2, 40),
+    q=st.integers(-40, 40).filter(lambda q: abs(q) >= 2),
+    n0=st.integers(1, 15),
+    steps=st.lists(st.integers(0, 4), max_size=6),
+    sign=st.sampled_from((1, -1)),
+)
+def test_every_word_returning_function_returns_canonical_words(
+    letters, other, seed, a_half, b, p, q, n0, steps, sign
+):
+    w = word(letters)
+    a = 2 * a_half + 1
+    b = b % (a - 1) + 1
+    while math.gcd(a, b) != 1:  # gcd(a, a - 1) = 1, so b stays below a
+        b += 1
+    while math.gcd(p, q) != 1:
+        q += 1 if q > 0 else -1
+    chain = [2 * n0 + 1]
+    for step in steps:
+        chain.append(chain[-1] + 2 * step)
+    words = [
+        w,
+        parse_word(" ".join(f"{name} {exponent}" for name, exponent in letters)),
+        reverse_word(w),
+        double_coset_trim(w),
+        w * word(other),
+        peephole(w),
+        braid_from_slopes(random_valid_slopes(Random(seed), max_d=8)),
+        upper_semisimple_word(a, b),
+        lower_simple_word(a, b),
+        torus_braid_word(p, q),
+        torus_braid_word(q, p),
+        toroidal_braid_word([sign * n for n in chain]),
+    ]
+    for u in list(words):
+        words.extend(segment(u) or ())
+    for u in words:
+        _assert_canonical(u)
 
 
 _MS = word([("m", 1), ("s", 1)])
