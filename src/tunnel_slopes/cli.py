@@ -7,25 +7,28 @@ and commas are ignored in slope sequences only; in a braid word they are
 part of a token, so "[m 3, s -2]" does not parse.  Every subcommand accepts
 --json for a machine-readable form of the same numbers.
 
-A command line takes one of two routes to the same namespace.  A well-formed
-line is read directly, without importing argparse: a known command, then
-tokens that are each --json or plainly positional, with every --json before
-or after the positionals, and exactly two integers for a command that takes
-parameters.  Every other line, -h/--help included, goes to the argparse parser
-of `build_parser`, which alone writes help, usage and error text.  From the
-namespace on, both routes run the same code.
+`main` reads a command line by one grammar and writes its own help, usage
+and error text from the rows of `_commands`:
 
-Exit status: 0 on success, 1 for a value outside an operation's domain,
-2 for input that does not parse (argparse usage errors included).
+- The first token names a command; -h or --help in its place prints the
+  program help.
+- After the name, -h or --help anywhere prints that command's help, and
+  --json anywhere selects JSON output.
+- Every other token is an argument: a braid word, a slope list, or exactly
+  two integers.  No other token is an option: "--" and abbreviations such
+  as "--js" are arguments like any other.
+
+Exit status: 0 on success (help included), 1 for a value outside an
+operation's domain, 2 for a line that does not parse: no command or an
+unknown one, a malformed word or slope list, or the wrong number of integers.
 """
 
 from __future__ import annotations
 
 import sys
-import types
 from collections.abc import Sequence
 
-from .braid import BraidWord, _too_long, format_word, parse_word, reverse_word
+from .braid import BraidWord, _parse_int, format_word, parse_word, reverse_word
 from .errors import DomainError, ParseError
 from .knot_families import (
     Rejection,
@@ -48,7 +51,7 @@ from .slope_engine import (
     upper_slopes,
 )
 
-__all__ = ["main", "build_parser", "TRIVIAL_TEXT", "SUCCESS_SENTENCE"]
+__all__ = ["main", "TRIVIAL_TEXT", "SUCCESS_SENTENCE"]
 
 TRIVIAL_TEXT = "trivial knot (empty slope sequence)"
 
@@ -64,17 +67,12 @@ _TWO_BRIDGE_LABELS = (
     ("Lower semisimple tunnel:", "lower_semisimple"),
 )
 
-# Argument kinds: a braid word or a slope list spread over any number of
-# tokens, or two integer parameters, each given as (name, help text).
-_WORD = "word"
-_SLOPES = "slopes"
+# Argument kinds, each a tuple of (name, help text): a braid word or a slope
+# list spread over any number of tokens, or two integer parameters.
+_WORD = (("word", "braid word, e.g. 'm 3 s -2 l 3'"),)
+_SLOPES = (("slopes", "numerator/denominator pairs, e.g. '21 25 341 60 -13 1'"),)
 _A_B = (("a", "odd parameter a >= 3"), ("b", "parameter b with 0 < b < a, coprime to a"))
 _P_Q = (("p", "coprime parameter with |p| >= 2"), ("q", "coprime parameter with |q| >= 2"))
-
-_TEXT_HELP = {
-    _WORD: "braid word, e.g. 'm 3 s -2 l 3'",
-    _SLOPES: "numerator/denominator pairs, e.g. '21 25 341 60 -13 1'",
-}
 
 
 def _commands() -> tuple:
@@ -101,67 +99,6 @@ def _commands() -> tuple:
          "identify the 2-bridge knot with these semisimple tunnel slopes"),
         ("reverseBraid", _WORD, reverse_word, "reverse the braid description"),
     )
-
-
-def _integer(text: str) -> int:
-    """The argparse type of integer parameters; an overlong one is not echoed whole."""
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    import argparse
-
-    raise argparse.ArgumentTypeError(_too_long(text, "integer") or f"invalid int value: {text!r}")
-
-
-def _quick_parse(argv: list[str]) -> types.SimpleNamespace | None:
-    """The namespace argparse would give for argv, or None to leave argv to argparse.
-
-    Accepts only lines that argparse reads the same way.  Each token other
-    than --json must be certainly positional: argparse takes a token that
-    starts with "-" for an option unless a private pattern calls it a negative
-    number, so the only such token accepted is that pattern's plainest case,
-    "-" and ASCII digits.  A "*" argument gets one contiguous run of tokens, so
-    --json may only lead or trail it.
-    """
-    if not argv:
-        return None
-    for name, kind, run, _ in _commands():
-        if name == argv[0]:
-            break
-    else:
-        return None
-    tokens = argv[1:]
-    start, stop = 0, len(tokens)
-    while start < stop and tokens[start] == "--json":
-        start += 1
-    while stop > start and tokens[stop - 1] == "--json":
-        stop -= 1
-    values = tokens[start:stop]
-    for token in values:
-        if token.startswith("-") and not (token[1:].isascii() and token[1:].isdigit()):
-            return None
-    args = types.SimpleNamespace(command=name, run=run, kind=kind, json=len(values) < len(tokens))
-    if kind in _TEXT_HELP:
-        setattr(args, kind, values)
-        return args
-    if len(values) != len(kind):
-        return None
-    for (param, _), token in zip(kind, values):
-        try:
-            setattr(args, param, int(token))
-        except ValueError:  # not an integer, or over the int-from-str limit
-            return None
-    return args
-
-
-def _inputs(args) -> tuple:
-    """The library function's arguments, parsed from either route's namespace."""
-    if args.kind == _WORD:
-        return (parse_word(" ".join(args.word)),)
-    if args.kind == _SLOPES:
-        return (parse_slopes(" ".join(args.slopes)),)
-    return tuple(getattr(args, name) for name, _ in args.kind)
 
 
 def _slope_arrays(seq: SlopeSequence) -> dict:
@@ -201,27 +138,24 @@ def _render(result, json_mode: bool) -> str:
     return json.dumps(payload)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    import argparse  # only help and malformed lines need it; see the module docstring
+def _program_help(rows) -> str:
+    names = "".join(f"\n  {name:<26}{help_text}" for name, _, _, help_text in rows)
+    return (
+        "usage: tunnel-slopes [-h] <command> [--json] [arguments ...]\n\n"
+        f"Slope invariants of (1,1)-knot tunnels from braid words.\n\ncommands:{names}\n\n"
+        "Run 'tunnel-slopes <command> --help' for a command's arguments."
+    )
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--json", action="store_true", help="print the result as one JSON object"
+
+def _command_help(row) -> str:
+    name, kind, _, help_text = row
+    usage = f"[{kind[0][0]} ...]" if kind in (_WORD, _SLOPES) else " ".join(p for p, _ in kind)
+    params = "".join(f"\n  {param:<12}{param_help}" for param, param_help in kind)
+    return (
+        f"usage: tunnel-slopes {name} [-h] [--json] {usage}\n\n{help_text}\n\n"
+        f"arguments:{params}\n\noptions:\n  -h, --help  show this help message and exit\n"
+        "  --json      print the result as one JSON object"
     )
-    parser = argparse.ArgumentParser(
-        prog="tunnel-slopes",
-        description="Slope invariants of (1,1)-knot tunnels from braid words.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, kind, run, help_text in _commands():
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        if kind in _TEXT_HELP:
-            p.add_argument(kind, nargs="*", help=_TEXT_HELP[kind])
-        else:
-            for param, param_help in kind:
-                p.add_argument(param, type=_integer, help=param_help)
-        p.set_defaults(run=run, kind=kind)
-    return parser
 
 
 def _fail(message: object, code: int) -> int:
@@ -230,16 +164,38 @@ def _fail(message: object, code: int) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command line (sys.argv[1:] by default); return the exit status."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _quick_parse(argv) or build_parser().parse_args(argv)
+    rows = {row[0]: row for row in _commands()}
+    if argv[:1] in (["-h"], ["--help"]):
+        print(_program_help(rows.values()))
+        return 0
+    if not argv or argv[0] not in rows:
+        given = f"unknown command {argv[0]!r}" if argv else "no command given"
+        return _fail(f"{given}; run 'tunnel-slopes --help' for the list", 2)
+    name, kind, run, _ = rows[argv[0]]
+    tokens = argv[1:]
+    if "-h" in tokens or "--help" in tokens:
+        print(_command_help(rows[name]))
+        return 0
+    values = [token for token in tokens if token != "--json"]
     try:
-        result = args.run(*_inputs(args))
+        if kind is _WORD:
+            inputs = (parse_word(" ".join(values)),)
+        elif kind is _SLOPES:
+            inputs = (parse_slopes(" ".join(values)),)
+        elif len(values) != len(kind):
+            params = " ".join(param for param, _ in kind)
+            raise ParseError(f"{name} takes {len(kind)} integers ({params}), got {len(values)}")
+        else:
+            inputs = tuple(_parse_int(token, i, "integer") for i, token in enumerate(values, 1))
+        result = run(*inputs)
     except ParseError as exc:
         return _fail(exc, 2)
     except DomainError as exc:
         return _fail(exc, 1)
     try:
-        output = _render(result, args.json)
+        output = _render(result, "--json" in tokens)
     except ValueError:  # an integer over Python's limit on int-to-str conversion
         limit = sys.get_int_max_str_digits()
         return _fail(f"the result has an integer too long to print (the limit is {limit} digits)", 1)

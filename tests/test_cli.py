@@ -1,7 +1,5 @@
 """Command-line interface: golden transcripts, JSON mode, exit codes."""
 
-import contextlib
-import io
 import json
 import random
 import subprocess
@@ -13,7 +11,6 @@ import pytest
 from conftest import cap_address_space, run_cli
 from tunnel_slopes import SimpleSlope, SlopeSequence, format_slopes
 from tunnel_slopes import cli
-from tunnel_slopes.cli import main
 
 MAIN_WORD = ["m", "3", "s", "-2", "l", "3", "s", "-4", "m", "-1", "s", "-4", "l", "3"]
 MAIN_UPPER = ["21", "25", "341", "60", "-13", "1", "-13", "1"]
@@ -254,17 +251,51 @@ def test_brackets_and_commas_do_not_parse_in_a_braid_word():
 
 
 def test_unknown_command_exits_two():
-    with pytest.raises(SystemExit) as info:
-        run_cli(["noSuchCommand"])
-    assert info.value.code == 2
+    code, out, err = run_cli(["noSuchCommand"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
 
 
 def test_overlong_integer_parameter_is_not_echoed():
     digits = sys.get_int_max_str_digits() + 1
-    code, out, err = _run_to_exit(["twoBridge", "7" * digits, "2"])
+    code, out, err = run_cli(["twoBridge", "7" * digits, "2"])
     assert (code, out) == (2, "")
     assert len(err.encode()) < 300
-    assert f"argument a: integer too long ({digits} digits, the limit is " in err
+    assert f"token 1: integer too long ({digits} digits, the limit is " in err
+
+
+# The names in help order, each with the parameters its help names.
+_HELP_PARAMETERS = (
+    ("upperSlopes", ("word",)),
+    ("lowerSlopes", ("word",)),
+    ("braidWord", ("slopes",)),
+    ("dualSlopes", ("slopes",)),
+    ("twoBridge", ("a", "b")),
+    ("upperSemisimpleBraidWord", ("a", "b")),
+    ("lowerSimpleBraidWord", ("a", "b")),
+    ("torusUpperSlopes", ("p", "q")),
+    ("torusLowerSlopes", ("p", "q")),
+    ("fullTorusBraidWord", ("p", "q")),
+    ("find2BridgeKnot", ("slopes",)),
+    ("reverseBraid", ("word",)),
+)
+
+
+def test_help_lists_every_command_and_its_parameters():
+    names = [name for name, _ in _HELP_PARAMETERS]
+    assert [row[0] for row in cli._commands()] == names
+    for argv in (["--help"], ["-h"]):
+        code, out, err = run_cli(argv)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: tunnel-slopes")
+        listed = [line.split()[0] for line in out.splitlines() if line.startswith("  ")]
+        assert listed == names
+    for name, parameters in _HELP_PARAMETERS:
+        code, out, err = run_cli([name, "--help"])
+        assert (code, err) == (0, ""), name
+        assert out.startswith(f"usage: tunnel-slopes {name} "), name
+        described = [line.split()[0] for line in out.splitlines() if line.startswith("  ")]
+        assert described == [*parameters, "-h,", "--json"], name
 
 
 def test_module_entry_point_runs_in_subprocess():
@@ -303,6 +334,19 @@ def _footprint(argv):
     return subprocess.run(
         [sys.executable, "-c", _FOOTPRINT_SCRIPT, *argv], capture_output=True, text=True
     )
+
+
+def test_help_and_usage_errors_import_no_argparse():
+    for argv, code in [
+        (["-h"], 0),
+        (["twoBridge", "--help"], 0),
+        (["noSuchCommand"], 2),
+        (["twoBridge", "7"], 2),
+        ([], 2),
+    ]:
+        proc = _footprint(argv)
+        assert proc.returncode == code, argv
+        assert proc.stderr.splitlines()[-1] == "loaded: [] [] False", argv
 
 
 def test_plain_run_imports_no_dataclasses_inspect_or_json():
@@ -359,23 +403,12 @@ def _fuzz_argv(rng):
     return [command, *args]
 
 
-def _run_to_exit(argv):
-    """Like run_cli, but an argparse exit becomes its exit code."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    return code, out.getvalue(), err.getvalue()
-
-
 def test_seeded_fuzz_exits_cleanly():
     rng = random.Random(20100629)
     codes = set()
     for _ in range(400):
         argv = _fuzz_argv(rng)
-        code, out, err = _run_to_exit(argv)
+        code, out, err = run_cli(argv)
         assert code in (0, 1, 2), argv
         assert "Traceback" not in err, argv
         assert (code == 0) == (err == ""), argv
@@ -383,86 +416,99 @@ def test_seeded_fuzz_exits_cleanly():
     assert codes == {0, 1, 2}
 
 
-# Command lines at the edges of the quick parse, each with whether it takes
-# the quick route.  Of the tokens that start with "-", the quick parse reads
-# only "-" and ASCII digits.  argparse calls a token a negative number by a
-# private pattern (r'^-\d+$|^-\d*\.\d+$' in Python 3.10-3.13, where \d also
-# matches non-ASCII digits), so -.5 and -\u0661 are left to argparse.
+_TWO_BRIDGE_413_227 = (
+    "Upper simple tunnel:     [ 131/413 ]\n"
+    "Upper semisimple tunnel: [ 1/3 ], 15/7, 9/5\n"
+    "Lower simple tunnel:     [ 227/413 ]\n"
+    "Lower semisimple tunnel: [ 2/5 ], -1, -3/2, 1, 1, 1, 3\n"
+)
+_TWO_BRIDGE_413_227_JSON = json.dumps(
+    {
+        "upper_simple": {"numerators": [131], "denominators": [413]},
+        "upper_semisimple": {"numerators": [1, 15, 9], "denominators": [3, 7, 5]},
+        "lower_simple": {"numerators": [227], "denominators": [413]},
+        "lower_semisimple": {
+            "numerators": [2, -1, -3, 1, 1, 1, 3],
+            "denominators": [5, 1, 2, 1, 1, 1, 1],
+        },
+    }
+) + "\n"
+_EMPTY_JSON = '{"numerators": [], "denominators": []}\n'
+_TRIVIAL = "trivial knot (empty slope sequence)\n"
+
+# Command lines at the edges of the grammar: (argv, exit code, stdout when
+# the exit is 0).  A help line pins only its usage line; the help test reads
+# the rest.  Six lines read differently from the argparse-based parser that
+# this one replaced; each is marked "Was".
 _EDGE_ARGV = [
-    (["upperSlopes", "--json", "m", "1"], True),
-    (["upperSlopes", "m", "1", "--json"], True),
-    (["upperSlopes", "--json", "--json", "m", "1", "--json"], True),
-    (["upperSlopes", "m", "--json", "1"], False),
-    (["upperSlopes", "--json"], True),
-    (["upperSlopes"], True),
-    (["upperSlopes", "--js", "m", "1"], False),
-    (["upperSlopes", "m", "1", "--j"], False),
-    (["upperSlopes", "--json=1", "m", "1"], False),
-    (["upperSlopes", "m", "-", "1"], False),
-    (["upperSlopes", "--", "m", "1"], False),
-    (["upperSlopes", "m", "1", "--"], False),
-    (["upperSlopes", "m", "-1 2"], False),
-    (["upperSlopes", "m 3 s -2 l 3"], True),
-    (["upperSlopes", "m", "-0", "l", "1"], True),
-    (["upperSlopes", "-m", "1"], False),
-    (["upperSlopes", ""], True),
-    (["dualSlopes", "-.5", "1"], False),
-    (["dualSlopes", "1", "3", "-1.5", "1"], False),
-    (["dualSlopes", "1", "3", "-1e3", "1"], False),
-    (["dualSlopes", "1", "3", "-1_001", "1"], False),
-    (["dualSlopes", "1", "3", "-\u0661", "1"], False),
-    (["braidWord", "21", "25", "341", "60", "-13", "1"], True),
-    (["twoBridge", "-1", "2"], True),
-    (["twoBridge", "413", "-227"], True),
-    (["twoBridge", "+413", "227"], True),
-    (["twoBridge", " 413 ", "227"], True),
-    (["twoBridge", "1_001", "2"], True),
-    (["twoBridge", "\u0664\u0661\u0663", "\u0662\u0662\u0667"], True),
-    (["twoBridge", "-\u0664\u0661\u0663", "2"], False),
-    (["twoBridge", "413", "2.0"], False),
-    (["twoBridge", "7" * (sys.get_int_max_str_digits() + 1), "2"], False),
-    (["twoBridge", "413"], False),
-    (["twoBridge", "413", "227", "5"], False),
-    (["twoBridge", "--json", "413", "227", "--json"], True),
-    (["twoBridge", "413", "--json", "227"], False),
-    (["twoBridge", "-h"], False),
-    (["twoBridge", "--help"], False),
-    (["-h"], False),
-    (["--json", "upperSlopes"], False),
-    ([], False),
-    (["upperslopes", "m", "1"], False),
-    (["upperSlo", "m", "1"], False),
+    (["upperSlopes", "--json", "m", "1"], 0, _EMPTY_JSON),
+    (["upperSlopes", "m", "1", "--json"], 0, _EMPTY_JSON),
+    (["upperSlopes", "--json", "--json", "m", "1", "--json"], 0, _EMPTY_JSON),
+    # Was exit 2: argparse ended the word at --json and refused the "1" after it.
+    (["upperSlopes", "m", "--json", "1"], 0, _EMPTY_JSON),
+    (["upperSlopes", "--json"], 0, _EMPTY_JSON),
+    (["upperSlopes"], 0, _TRIVIAL),
+    # Was exit 0: argparse took --js and --j as abbreviations of --json.
+    (["upperSlopes", "--js", "m", "1"], 2, None),
+    (["upperSlopes", "m", "1", "--j"], 2, None),
+    (["upperSlopes", "--json=1", "m", "1"], 2, None),
+    (["upperSlopes", "m", "-", "1"], 2, None),
+    # Was exit 0: argparse dropped "--" as the end of its options.
+    (["upperSlopes", "--", "m", "1"], 2, None),
+    (["upperSlopes", "m", "1", "--"], 2, None),
+    (["upperSlopes", "m", "-1 2"], 2, None),
+    (["upperSlopes", "m 3 s -2 l 3"], 0, "[ 16/19 ], -7, -7\n"),
+    (["upperSlopes", "m", "-0", "l", "1"], 0, _TRIVIAL),
+    (["upperSlopes", "-m", "1"], 2, None),
+    (["upperSlopes", ""], 0, _TRIVIAL),
+    (["dualSlopes", "-.5", "1"], 2, None),
+    (["dualSlopes", "1", "3", "-1.5", "1"], 2, None),
+    (["dualSlopes", "1", "3", "-1e3", "1"], 2, None),
+    # Was exit 2: argparse took -1_001 for an unknown option; int() reads it.
+    (["dualSlopes", "1", "3", "-1_001", "1"], 0, "[ 2/3 ], " + "-3, " * 500 + "-7/2\n"),
+    (["dualSlopes", "1", "3", "-\u0661", "1"], 0, "[ 2/3 ], -7/2\n"),
+    (
+        ["braidWord", "21", "25", "341", "60", "-13", "1"],
+        0,
+        "m 1 s 2 l 1 m 1 s -2 l 3 s -3 m 1 s -3 l 2 s -1 l -1\n",
+    ),
+    (["twoBridge", "-1", "2"], 1, None),
+    (["twoBridge", "413", "-227"], 1, None),
+    (["twoBridge", "+413", "227"], 0, _TWO_BRIDGE_413_227),
+    (["twoBridge", " 413 ", "227"], 0, _TWO_BRIDGE_413_227),
+    (
+        ["twoBridge", "1_001", "2"],
+        0,
+        "Upper simple tunnel:     [ 501/1001 ]\n"
+        "Upper semisimple tunnel: [ 2/5 ], " + ", ".join(["-1"] * 249) + "\n"
+        "Lower simple tunnel:     [ 2/1001 ]\n"
+        "Lower semisimple tunnel: [ 501/1001 ]\n",
+    ),
+    (["twoBridge", "\u0664\u0661\u0663", "\u0662\u0662\u0667"], 0, _TWO_BRIDGE_413_227),
+    (["twoBridge", "-\u0664\u0661\u0663", "2"], 1, None),
+    (["twoBridge", "413", "2.0"], 2, None),
+    (["twoBridge", "7" * (sys.get_int_max_str_digits() + 1), "2"], 2, None),
+    (["twoBridge", "413"], 2, None),
+    (["twoBridge", "413", "227", "5"], 2, None),
+    (["twoBridge", "--json", "413", "227", "--json"], 0, _TWO_BRIDGE_413_227_JSON),
+    (["twoBridge", "413", "--json", "227"], 0, _TWO_BRIDGE_413_227_JSON),
+    (["twoBridge", "-h"], 0, "usage: tunnel-slopes twoBridge [-h] [--json] a b\n"),
+    (["twoBridge", "--help"], 0, "usage: tunnel-slopes twoBridge [-h] [--json] a b\n"),
+    (["-h"], 0, "usage: tunnel-slopes "),
+    (["--json", "upperSlopes"], 2, None),
+    ([], 2, None),
+    (["upperslopes", "m", "1"], 2, None),
+    (["upperSlo", "m", "1"], 2, None),
 ]
 
 
-def _argparse_fields(parser, argv):
-    """The namespace fields argparse reads from argv, or None where it exits."""
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            return vars(parser.parse_args(argv))
-        except SystemExit:
-            return None
-
-
-def test_quick_parse_reads_each_line_it_accepts_as_argparse_does():
-    # equal fields give the same function, kind, --json flag and inputs
-    parser = cli.build_parser()
-    rng = random.Random(60601)
-    lines = [_fuzz_argv(rng) for _ in range(4000)] + [argv for argv, _ in _EDGE_ARGV]
-    accepted = 0
-    for argv in lines:
-        quick = cli._quick_parse(argv)
-        if quick is not None:
-            accepted += 1
-            assert vars(quick) == _argparse_fields(parser, argv), argv
-    assert accepted > len(lines) // 2
-
-
-def test_edge_lines_give_the_same_output_on_either_route(monkeypatch):
-    quick_route = [_run_to_exit(argv) for argv, _ in _EDGE_ARGV]
-    with monkeypatch.context() as patch:
-        patch.setattr(cli, "_quick_parse", lambda argv: None)
-        argparse_route = [_run_to_exit(argv) for argv, _ in _EDGE_ARGV]
-    for (argv, quick), ours, theirs in zip(_EDGE_ARGV, quick_route, argparse_route):
-        assert (cli._quick_parse(argv) is not None) == quick, argv
-        assert ours == theirs, argv
+def test_edge_lines_give_their_pinned_output():
+    for argv, code, stdout in _EDGE_ARGV:
+        got_code, out, err = run_cli(argv)
+        assert got_code == code, argv
+        if code != 0:
+            assert out == "" and err.startswith("error: "), argv
+        elif stdout.startswith("usage: "):
+            assert out.startswith(stdout) and err == "", argv
+        else:
+            assert (out, err) == (stdout, ""), argv
