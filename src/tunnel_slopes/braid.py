@@ -14,7 +14,7 @@ The text form is whitespace-separated name/exponent pairs, e.g.
 from __future__ import annotations
 
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
 from .errors import DomainError, ParseError
@@ -148,6 +148,11 @@ def format_word(w: BraidWord) -> str:
 _SWAP = {"m": "l", "l": "m", "s": "s"}
 
 
+def _reversed(letters: Sequence[Letter]) -> tuple[Letter, ...]:
+    """The letters in reverse order, with dm and dl exchanged."""
+    return tuple([(_SWAP[name], e) for name, e in reversed(letters)])
+
+
 def reverse_word(w: BraidWord) -> BraidWord:
     """Reverse the letter order and exchange dm with dl.
 
@@ -155,7 +160,16 @@ def reverse_word(w: BraidWord) -> BraidWord:
     of the position the word describes.  The reverse of a canonical word
     is canonical, so its letters are not merged again.
     """
-    return BraidWord(tuple((_SWAP[name], e) for name, e in reversed(w.letters)))
+    return BraidWord(_reversed(w.letters))
+
+
+def _even_odd_letters(cf: Sequence[int]) -> list[Letter]:
+    """The letters dm^-a1 s^b1 ... dm^-an s^bn spelling [2a1, b1, ..., 2an, bn].
+
+    The expansion is expand_odd_numerator's even-odd shape, spelled left to
+    right and not merged: a1 is 0 when the expanded value lies within 1 of 0.
+    """
+    return [("s", x) if j % 2 else ("m", -(x // 2)) for j, x in enumerate(cf)]
 
 
 def winding_number(w: BraidWord) -> int:
@@ -201,6 +215,11 @@ def double_coset_trim(w: BraidWord) -> BraidWord:
 _TOO_MANY_SEGMENTS = f"the word has more than {SIZE_LIMIT} segments (the size limit)"
 
 
+def _segment_count(letters: Iterable[Letter]) -> int:
+    """The sum of |k| over the dm^k letters: a trimmed word's segment count."""
+    return sum(abs(k) for name, k in letters if name == "m")
+
+
 def segment(w: BraidWord) -> list[BraidWord] | None:
     """Split a word at its dm letters into subgroup segments.
 
@@ -222,7 +241,7 @@ def segment(w: BraidWord) -> list[BraidWord] | None:
     SIZE_LIMIT raises DomainError before any piece is built.
     """
     trimmed = double_coset_trim(w)
-    if sum(abs(k) for name, k in trimmed.letters if name == "m") > SIZE_LIMIT:
+    if _segment_count(trimmed.letters) > SIZE_LIMIT:
         raise DomainError(_TOO_MANY_SEGMENTS)
     if not trimmed:
         return None

@@ -13,8 +13,8 @@ them while it rebuilds the expansion.  The expansion of (a, b') is the same
 entries reversed and negated, so two_bridge_tunnels reads both semisimple
 sequences from one expansion.  The module also builds the braid words whose
 upper tunnels are the semisimple ones, which the CLI prints;
-two_bridge_tunnels refuses K(a, b) by their segment count, which it reads
-off the even-odd expansions of a/b and a/b' without building the words.
+two_bridge_tunnels refuses K(a, b) by the same dm count that segment uses,
+taken over both words' spelled letters without building the words.
 
 The (p, q) torus knot's tunnels have slope sequences read off the staircase
 of heights ceil(k p / q), and a sequence arising that way can be recognized
@@ -27,7 +27,15 @@ import math
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .braid import _TOO_MANY_SEGMENTS, SIZE_LIMIT, BraidWord, reverse_word, word
+from .braid import (
+    _TOO_MANY_SEGMENTS,
+    SIZE_LIMIT,
+    BraidWord,
+    _even_odd_letters,
+    _segment_count,
+    reverse_word,
+    word,
+)
 from .errors import DomainError
 from .exact_arith import (
     SimpleSlope,
@@ -124,13 +132,14 @@ def two_bridge_tunnels(a: int, b: int) -> TwoBridgeReport:
     The semisimple sequences are the upper slopes of upper_semisimple_word
     for (a, b) and (a, b'), and K(a, b) is refused exactly when the slope
     engine would refuse one of those words: when it splits into more than
-    SIZE_LIMIT segments.  The refusal counts the words' dm letters from the
-    even-odd expansions of a/b and a/b' (see _semisimple_segments) and
-    builds neither word.  Both sequences are read from expand_all_even(a, b),
-    the lower one by walking its reversal with every entry negated, which is
-    the expansion for (a, b').  expand_all_even counts slopes only for
-    (a, b); the segment count is never below the closed form's depth, so the
-    check keeps the walk for (a, b') within SIZE_LIMIT slopes too.
+    SIZE_LIMIT segments.  The refusal takes segment's dm count over the
+    letters spelled from the even-odd expansions of a/b and a/b' (see
+    _semisimple_segments) and builds neither word.  Both sequences are read
+    from expand_all_even(a, b), the lower one by walking its reversal with
+    every entry negated, which is the expansion for (a, b').  expand_all_even
+    counts slopes only for (a, b); the segment count is never below the
+    closed form's depth, so the check keeps the walk for (a, b') within
+    SIZE_LIMIT slopes too.
     """
     knot = TwoBridge(a, b)
     dual = knot.dual_b
@@ -148,17 +157,17 @@ def two_bridge_tunnels(a: int, b: int) -> TwoBridgeReport:
 def _semisimple_segments(a: int, b: int) -> int:
     """The number of segments upper_semisimple_word(a, b) splits into.
 
-    That is the sum of |k| over the dm^k letters of the trimmed word, and it
-    equals the sum of |a-step| / 2 over the even-odd expansion of a/b, the
-    steps the word spells as dm^(-a-step/2):
+    segment takes _segment_count over the trimmed word's letters; this takes
+    it over the letters _even_odd_letters spells for a/b, each a-step 2c as
+    dm^-c, before they are merged or trimmed.  The two counts agree, since
+    merging and trimming remove no dm letter:
     - a/b > 1, so the first a-step is at least 2 and the word starts with dm,
       which the <dl, s> prefix trim leaves;
     - later a-steps have magnitude at least 2, and b-steps are never 0, so
       no two dm letters merge;
     - the word ends in dl^-1, so the <dm, s> suffix trim removes nothing.
     """
-    cf = expand_odd_numerator(Fraction(a, b))
-    return sum(abs(step) for step in cf[::2]) // 2
+    return _segment_count(_even_odd_letters(expand_odd_numerator(Fraction(a, b))))
 
 
 def upper_semisimple_word(a: int, b: int) -> BraidWord:
@@ -168,13 +177,7 @@ def upper_semisimple_word(a: int, b: int) -> BraidWord:
     with a single dl^-1.
     """
     TwoBridge(a, b)
-    cf = expand_odd_numerator(Fraction(a, b))
-    letters: list[tuple[str, int]] = []
-    for j in range(0, len(cf), 2):
-        letters.append(("m", -(cf[j] // 2)))
-        letters.append(("s", cf[j + 1]))
-    letters.append(("l", -1))
-    return word(letters)
+    return word(_even_odd_letters(expand_odd_numerator(Fraction(a, b))) + [("l", -1)])
 
 
 def lower_simple_word(a: int, b: int) -> BraidWord:

@@ -15,8 +15,10 @@ from fractions import Fraction
 from .braid import (
     BraidWord,
     Letter,
+    _even_odd_letters,
     _parse_int,
     _push,
+    _reversed,
     reverse_word,
     segment,
     subgroup_slope,
@@ -41,17 +43,20 @@ __all__ = [
 class SlopeSequence(_Value):
     """The slope invariant [m0], m1, ..., md of a tunnel.
 
-    ``first`` is the class of m0 in Q/Z and ``rest`` holds m1, ..., md.  The
-    empty sequence (first is None) belongs to the trivial knot; a nonempty
-    sequence has a nonintegral first slope with odd denominator and later
-    slopes with odd numerator.
+    ``first`` is the class of m0 in Q/Z and ``rest`` holds m1, ..., md as a
+    tuple, copied from any other sequence it is given, so the value is
+    hashable and cannot change after its checks.  The empty sequence (first
+    is None) belongs to the trivial knot; a nonempty sequence has a
+    nonintegral first slope with odd denominator and later slopes with odd
+    numerator.
     """
 
     __slots__ = ("first", "rest")
 
     def __init__(
-        self, first: SimpleSlope | None = None, rest: tuple[Fraction, ...] = ()
+        self, first: SimpleSlope | None = None, rest: Sequence[Fraction] = ()
     ) -> None:
+        rest = tuple(rest)
         if first is None:
             if rest:
                 raise DomainError("a sequence without a first slope must be empty")
@@ -191,38 +196,31 @@ def lower_slopes(w: BraidWord) -> SlopeSequence:
 def braid_from_slopes(seq: SlopeSequence) -> BraidWord:
     """A braid word whose upper tunnel has the given slope sequence.
 
-    The empty sequence yields the empty word.  Each slope is spelled from
-    its even-odd continued fraction as S = dm s^(1+bn) dl^-an ... s^b1
-    dl^-a1.  The blocks are laid right to left: block i is S_i dl^t, where
-    t is the winding of the word R already built to its right.  Winding is
-    a homomorphism, w(AB) = w(A) + (-1)^s(A) w(B) with s(A) the total
-    s-exponent of A, so with e = (-1)^s(S_i)
+    The empty sequence yields the empty word.  Each slope's even-odd
+    continued fraction [2a1, b1, ..., 2an, bn] has the 2-bridge spelling
+    dm^-a1 s^b1 ... dm^-an s^bn (as in upper_semisimple_word), and the slope
+    is spelled as S = dm s followed by that spelling reversed with dm and dl
+    exchanged, S = dm s^(1+bn) dl^-an ... s^b1 dl^-a1.  The blocks are laid
+    right to left: block i is S_i dl^t, where t is the winding of the word R
+    already built to its right.  Winding is a homomorphism, w(AB) = w(A) +
+    (-1)^s(A) w(B) with s(A) the total s-exponent of A, so with
+    e = (-1)^s(S_i)
 
         w(S_i dl^t R) = (w(S_i) - e t) + e t = w(S_i).
 
-    Each block's correction is therefore the winding of the previous
-    block's spelling alone, one integer carried from block to block.  The
-    word is canonicalized once, then shrunk by peephole.
+    Each block's twist is therefore winding_number of the previous block's
+    spelling alone, one integer carried from block to block.  The word is
+    canonicalized once, then shrunk by peephole.
     """
     if not seq:
         return BraidWord()
-    targets: list[Fraction] = [Fraction(seq.first.q, seq.first.p), *seq.rest]
-    blocks: list[list[Letter]] = []
+    blocks: list[tuple[Letter, ...]] = []
     twist = 0
-    for target in targets:
-        cf = expand_odd_numerator(target)
-        letters: list[Letter] = [("m", 1), ("s", 1)]
-        winding, s_parity = 0, -1
-        for j in range(len(cf) - 2, -1, -2):
-            b, a = cf[j + 1], cf[j] // 2
-            letters.append(("s", b))
-            letters.append(("l", -a))
-            if b % 2:
-                s_parity = -s_parity
-            winding += s_parity * a
-        letters.append(("l", twist))
-        blocks.append(letters)
-        twist = winding
+    for target in [Fraction(seq.first.q, seq.first.p), *seq.rest]:
+        spelling = (("m", 1), ("s", 1)) + _reversed(_even_odd_letters(expand_odd_numerator(target)))
+        blocks.append(spelling + (("l", twist),))
+        # winding_number reads letter by letter, so the spelling needs no merging
+        twist = winding_number(BraidWord(spelling))
     return peephole(word([letter for block in reversed(blocks) for letter in block]))
 
 

@@ -1,0 +1,224 @@
+"""Mutation gate: each row breaks the code on purpose, and its tests must notice.
+
+Run from the repository root:
+
+    python tests/mutants.py
+
+A row names a file, an exact text in it, the text that replaces it, the test
+node ids to run, and the outcome expected: "killed" (the tests fail) or
+"survives" (they pass, for the reason the row gives).  Each row runs on a
+fresh temporary copy of src/ and tests/ with PYTHONPATH=src.  The old text
+must occur exactly once in the file, or the row fails as stale; a row whose
+anchor moves is updated with the code it anchors.  The listed nodes are first
+run once on an unchanged copy, where every one must pass.  The script exits 0
+when every row has its expected outcome.  pytest does not collect it: the
+file name has no test_ prefix and it defines no test functions.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests")
+IGNORED = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+    nodes: tuple[str, ...]
+    expect: str = "killed"
+    reason: str = ""
+
+
+BRAID = "src/tunnel_slopes/braid.py"
+ENGINE = "src/tunnel_slopes/slope_engine.py"
+ARITH = "src/tunnel_slopes/exact_arith.py"
+FAMILIES = "src/tunnel_slopes/knot_families.py"
+
+ROUND_TRIP = (
+    "tests/test_slope_engine.py::test_braid_from_slopes_deterministic_output",
+    "tests/test_slope_engine.py::test_braid_from_slopes_round_trips_pinned_sequences",
+)
+
+ROWS = (
+    # braid_from_slopes: the twist carried from block to block
+    Mutant(
+        "carried twist flipped",
+        ENGINE,
+        'blocks.append(spelling + (("l", twist),))',
+        'blocks.append(spelling + (("l", -twist),))',
+        ROUND_TRIP,
+    ),
+    Mutant(
+        "carried twist zeroed",
+        ENGINE,
+        'blocks.append(spelling + (("l", twist),))',
+        'blocks.append(spelling + (("l", 0),))',
+        ROUND_TRIP,
+    ),
+    # the one winding rule
+    Mutant(
+        "winding_number's s-parity starts at -1",
+        BRAID,
+        "    total = 0\n    s_parity = 1\n",
+        "    total = 0\n    s_parity = -1\n",
+        ("tests/test_braid.py::test_winding_number_pinned_values",),
+    ),
+    # the one even-odd speller
+    Mutant(
+        "the speller writes b-steps as dm",
+        BRAID,
+        'return [("s", x) if j % 2 else',
+        'return [("m", x) if j % 2 else',
+        ("tests/test_knot_families.py::test_semisimple_word_byte_pins",),
+    ),
+    Mutant(
+        "the reversal keeps dm and dl",
+        BRAID,
+        "tuple([(_SWAP[name], e) for name, e in reversed(letters)])",
+        "tuple([(name, e) for name, e in reversed(letters)])",
+        ("tests/test_knot_families.py::test_semisimple_word_byte_pins",),
+    ),
+    # the one segment count, and the two checks against SIZE_LIMIT
+    Mutant(
+        "the segment count reads s letters",
+        BRAID,
+        'return sum(abs(k) for name, k in letters if name == "m")',
+        'return sum(abs(k) for name, k in letters if name == "s")',
+        ("tests/test_braid.py::test_segment_size_limit",),
+    ),
+    Mutant(
+        "segment refuses at the limit",
+        BRAID,
+        "if _segment_count(trimmed.letters) > SIZE_LIMIT:",
+        "if _segment_count(trimmed.letters) >= SIZE_LIMIT:",
+        ("tests/test_braid.py::test_segment_size_limit",),
+    ),
+    Mutant(
+        "two_bridge_tunnels refuses at the limit",
+        FAMILIES,
+        "_semisimple_segments(a, dual)) > SIZE_LIMIT:",
+        "_semisimple_segments(a, dual)) >= SIZE_LIMIT:",
+        ("tests/test_cli.py::test_two_bridge_at_the_size_limit_runs_at_once",),
+    ),
+    Mutant(
+        "two_bridge_tunnels counts only (a, b)",
+        FAMILIES,
+        "max(_semisimple_segments(a, b), _semisimple_segments(a, dual))",
+        "_semisimple_segments(a, b)",
+        (
+            "tests/test_oracles.py::"
+            "test_two_bridge_tunnels_refuse_as_the_engine_does_near_the_size_limit",
+        ),
+    ),
+    # the reduction loop
+    Mutant(
+        "_segment_slopes untwists with the wrong sign",
+        ENGINE,
+        "slope.numerator + 2 * winding_number(suffix) * b",
+        "slope.numerator - 2 * winding_number(suffix) * b",
+        ("tests/test_slope_engine.py::test_upper_slopes_pinned_values",),
+    ),
+    Mutant(
+        "_eliminate merges with its neighbours in the wrong order",
+        ENGINE,
+        "[merged * omegas[i - 1]]",
+        "[omegas[i - 1] * merged]",
+        ("tests/test_slope_engine.py::test_dual_slopes_pinned_pair",),
+    ),
+    # continued fractions
+    Mutant(
+        "the a-step rounds ties up",
+        ARITH,
+        "a2 = -2 * ((q - p) // (2 * q))",
+        "a2 = 2 * ((p + q) // (2 * q))",
+        ("tests/test_exact_arith.py::test_expand_odd_numerator_tie_breaking",),
+    ),
+    Mutant(
+        "_nearest_even rounds ties up",
+        ARITH,
+        "return 2 * math.ceil(Fraction(x - 1, 2))",
+        "return 2 * math.floor(Fraction(x + 1, 2))",
+        (
+            "tests/test_exact_arith.py::test_expand_all_even_golden_values",
+            "tests/test_exact_arith.py::test_expand_all_even_never_rounds_a_tie",
+        ),
+        expect="survives",
+        reason="expand_all_even asks at odd over even or even over odd, never an odd "
+        "integer, so _nearest_even never meets a tie",
+    ),
+    # the recognizer
+    Mutant(
+        "find_two_bridge flips its unit after odd k",
+        FAMILIES,
+        "prev, unit = unit, -unit if k % 2 == 0 else unit",
+        "prev, unit = unit, -unit if k % 2 == 1 else unit",
+        ("tests/test_knot_families.py::test_find_two_bridge_rejections",),
+    ),
+)
+
+
+def _copy(into: Path) -> None:
+    for name in COPIED:
+        shutil.copytree(ROOT / name, into / name, ignore=IGNORED)
+    shutil.copy(ROOT / "pyproject.toml", into / "pyproject.toml")
+
+
+def _pytest(where: Path, nodes: tuple[str, ...]) -> int:
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *nodes]
+    env = {**os.environ, "PYTHONPATH": "src"}
+    done = subprocess.run(command, cwd=where, env=env, capture_output=True, text=True)
+    return done.returncode
+
+
+def _outcome(row: Mutant) -> str:
+    """killed, survives, stale (the old text is not there once), or error."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        where = Path(tmp)
+        _copy(where)
+        target = where / row.path
+        text = target.read_text()
+        if text.count(row.old) != 1:
+            return "stale"
+        target.write_text(text.replace(row.old, row.new))
+        code = _pytest(where, row.nodes)
+    return {0: "survives", 1: "killed"}.get(code, f"error (pytest exit {code})")
+
+
+def main() -> int:
+    nodes = tuple(dict.fromkeys(node for row in ROWS for node in row.nodes))
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        _copy(Path(tmp))
+        code = _pytest(Path(tmp), nodes)
+    if code != 0:
+        print(f"the unchanged code fails the listed tests (pytest exit {code})")
+        return 1
+    failures = 0
+    for row in ROWS:
+        start = time.perf_counter()
+        outcome = _outcome(row)
+        ok = outcome == row.expect
+        failures += not ok
+        note = f" ({row.reason})" if row.reason and ok else ""
+        print(
+            f"{'ok ' if ok else 'BAD'} {outcome:<9} {row.name}{note}"
+            f"  [{time.perf_counter() - start:.1f} s]"
+            + ("" if ok else f"; expected {row.expect}")
+        )
+    print(f"{len(ROWS) - failures} of {len(ROWS)} rows as expected")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

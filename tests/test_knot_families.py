@@ -15,6 +15,7 @@ from tunnel_slopes import (
     SimpleSlope,
     SlopeSequence,
     TwoBridge,
+    braid_from_slopes,
     find_two_bridge,
     format_slopes,
     format_word,
@@ -34,6 +35,7 @@ from tunnel_slopes import (
 )
 from tunnel_slopes.braid import SIZE_LIMIT, double_coset_trim, word
 from tunnel_slopes.exact_arith import expand_odd_numerator
+from tunnel_slopes.slope_engine import peephole
 
 
 def test_two_bridge_validation_and_dual():
@@ -62,6 +64,22 @@ def test_semisimple_word_byte_pins():
         format_word(lower_simple_word(413, 227))
         == "m -1 s 1 l -1 s 6 l -1 s -6 l -1"
     )
+
+
+def test_braid_from_slopes_spells_the_lower_simple_word():
+    # a lone class [b/a] is one block, dm s followed by the 2-bridge spelling
+    # E of a/b reversed with dm and dl exchanged; the lower simple word is
+    # that reversal of E dl^-1, which is dm^-1 followed by the same letters,
+    # so the block is dm s dm times it.  The engine reads [b/a] back off it.
+    dm_s_dm = word([("m", 1), ("s", 1), ("m", 1)])
+    for a in range(3, 202, 2):
+        for b in range(1, a):
+            if math.gcd(a, b) != 1:
+                continue
+            lone = SlopeSequence(SimpleSlope(b, a))
+            lower = lower_simple_word(a, b)
+            assert braid_from_slopes(lone) == peephole(dm_s_dm * lower), (a, b)
+            assert upper_slopes(lower) == lone, (a, b)
 
 
 def test_closed_form_pinned_sequences():

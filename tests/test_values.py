@@ -160,6 +160,20 @@ def test_defaults():
     assert SlopeSequence(SimpleSlope(1, 3)).rest == ()
 
 
+def test_slope_sequence_keeps_its_later_slopes_as_a_tuple():
+    later = [Fraction(7, 2), Fraction(-13)]
+    from_list = SlopeSequence(SimpleSlope(3, 7), later)
+    from_tuple = SlopeSequence(SimpleSlope(3, 7), tuple(later))
+    assert from_list == from_tuple
+    assert hash(from_list) == hash(from_tuple)
+    assert from_list.rest == (Fraction(7, 2), Fraction(-13))
+    # the list can change after the odd-numerator check; the sequence cannot
+    later[0] = Fraction(2, 3)
+    assert from_list == from_tuple
+    rest = from_tuple.rest
+    assert SlopeSequence(SimpleSlope(3, 7), rest).rest is rest
+
+
 @pytest.mark.parametrize(
     "build, message",
     [
