@@ -52,6 +52,21 @@ ROUND_TRIP = (
 )
 
 ROWS = (
+    # the letter kernel: word
+    Mutant(
+        "word keeps the cancelled name on top",
+        BRAID,
+        "                top = stack[-1][0] if stack else _NO_TOP\n",
+        "                pass\n",
+        ("tests/test_braid.py::test_word_cancellation_exposes_the_letter_below",),
+    ),
+    Mutant(
+        "word appends a zero-exponent letter",
+        BRAID,
+        "        if exponent:\n            stack.append(letter",
+        "        if True:\n            stack.append(letter",
+        ("tests/test_braid.py::test_word_drops_zero_exponents",),
+    ),
     # braid_from_slopes: the twist carried from block to block
     Mutant(
         "carried twist flipped",

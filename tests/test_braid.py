@@ -80,8 +80,50 @@ def test_word_merges_adjacent_like_generators():
 
 
 def test_word_rejects_unknown_generator():
-    with pytest.raises(DomainError):
-        word([("x", 1)])
+    for letters in ([("x", 1)], [("m", 1), ("x", 0)], [("s", 1), ("s", -1), ("", 1)]):
+        with pytest.raises(DomainError, match="unknown generator"):
+            word(letters)
+
+
+def test_word_takes_list_letters_and_any_iterable():
+    w = word([["m", 2], ["s", -1]])
+    assert w.letters == (("m", 2), ("s", -1))
+    assert all(type(letter) is tuple for letter in w.letters)
+    assert hash(w) == hash(word((("m", 2), ("s", -1))))
+    g = word(letter for letter in [("m", 1), ["m", 1], ("l", -3)])
+    assert g.letters == (("m", 2), ("l", -3))
+    assert all(type(letter) is tuple for letter in g.letters)
+    assert hash(g) == hash(parse_word("m 2 l -3"))
+
+
+def test_word_cancellation_exposes_the_letter_below():
+    # s 2 s -2 cancels, and the next m merges into the m now on top
+    assert format_word(word([["m", 1], ["s", 2], ["s", -2], ["m", 2]])) == "m 3"
+    # a cascade: l and then s cancel, exposing m 2, which m 1 merges into
+    assert format_word(parse_word("m 2 s 3 l 1 l -1 s -3 m 1 s 1 l 1")) == "m 3 s 1 l 1"
+    assert format_word(word([("s", 1), ("s", -1), ("s", 2)])) == "s 2"
+    assert format_word(word([("m", 1), ("l", 1), ("l", -1), ("l", 1)])) == "m 1 l 1"
+
+
+def test_word_drops_zero_exponents():
+    assert word([("m", 0)]) == word([])
+    assert format_word(word([("m", 1), ("s", 0), ("m", 1)])) == "m 2"
+    assert format_word(word([("s", 0), ("l", 2), ("l", 0), ("m", 0)])) == "l 2"
+
+
+def test_word_refuses_letters_of_the_wrong_length():
+    with pytest.raises(ValueError, match="too many values to unpack"):
+        word([("m", 1, 2)])
+    with pytest.raises(ValueError, match="not enough values to unpack"):
+        word([("m",)])
+
+
+def test_word_keeps_unmerged_letters_as_given():
+    letters = [("m", 2), ("s", 1), ("s", 2), ("l", -1)]
+    w = word(letters)
+    assert w.letters == (("m", 2), ("s", 3), ("l", -1))
+    assert w.letters[0] is letters[0]
+    assert w.letters[2] is letters[3]
 
 
 def test_parse_format_round_trip():
