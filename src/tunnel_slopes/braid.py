@@ -51,9 +51,9 @@ class BraidWord(_Value):
     returns canonical words.  A canonical word may share its letter tuples
     with the letters it was built from: `word` keeps a letter that merges
     with nothing as the tuple it was given, and builds a new tuple only for
-    a merged run.  reverse_word, double_coset_trim and segment rely on the
-    invariant: they reverse, slice or split the letters of a canonical word
-    without merging them again.
+    a merged run.  __mul__, reverse_word, double_coset_trim and segment rely
+    on the invariant: they join, reverse, slice or split the letters of
+    canonical words without merging them again where no merge can happen.
     """
 
     __slots__ = ("letters",)
@@ -62,7 +62,17 @@ class BraidWord(_Value):
         object.__setattr__(self, "letters", letters)
 
     def __mul__(self, other: "BraidWord") -> "BraidWord":
-        return word(self.letters + other.letters)
+        """The product: the letters of self, then those of other.
+
+        Both words are canonical, so a merge can start only at the seam.
+        When either word is empty or the seam letters have different names,
+        the joined letters are already canonical and are kept as they are;
+        otherwise `word` merges them, cascading across the seam.
+        """
+        left, right = self.letters, other.letters
+        if not left or not right or left[-1][0] != right[0][0]:
+            return BraidWord(left + right)
+        return word(left + right)
 
     def __str__(self) -> str:
         return format_word(self)

@@ -67,6 +67,21 @@ ROWS = (
         "        if True:\n            stack.append(letter",
         ("tests/test_braid.py::test_word_drops_zero_exponents",),
     ),
+    # the product: a merge only at the seam
+    Mutant(
+        "the product never canonicalizes",
+        BRAID,
+        "if not left or not right or left[-1][0] != right[0][0]:",
+        "if True:",
+        ("tests/test_oracles.py::test_products_match_the_oracle_and_are_canonical",),
+    ),
+    Mutant(
+        "the product's guard reads the left word's first letter",
+        BRAID,
+        "left[-1][0] != right[0][0]:",
+        "left[0][0] != right[0][0]:",
+        ("tests/test_oracles.py::test_products_match_the_oracle_and_are_canonical",),
+    ),
     # braid_from_slopes: the twist carried from block to block
     Mutant(
         "carried twist flipped",

@@ -188,6 +188,17 @@ def test_domain_error_exits_one():
         assert "Traceback" not in err
 
 
+def _run_capped(argv):
+    """Run the command line in a child under the 600 MB cap and a 20 s timeout."""
+    return subprocess.run(
+        [sys.executable, "-m", "tunnel_slopes", *argv],
+        capture_output=True,
+        text=True,
+        timeout=20,
+        preexec_fn=cap_address_space,
+    )
+
+
 _SEGMENTS_OVER = "the word has more than 65536 segments (the size limit)"
 _TORUS_OVER = "torus parameters need |p| and |q| at most 65536 (the size limit)"
 
@@ -205,32 +216,62 @@ _TORUS_OVER = "torus parameters need |p| and |q| at most 65536 (the size limit)"
     ids=["twoBridge", "twoBridgeAtLimit", "upperSlopes", "torusUpperSlopes", "fullTorusBraidWord"],
 )
 def test_input_over_the_size_limit_exits_one(argv, message):
-    proc = subprocess.run(
-        [sys.executable, "-m", "tunnel_slopes", *argv],
-        capture_output=True,
-        text=True,
-        timeout=20,
-        preexec_fn=cap_address_space,
-    )
+    proc = _run_capped(argv)
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr == f"error: {message}\n"
 
 
 def test_two_bridge_at_the_size_limit_runs_at_once():
     # the upper semisimple word dm^-65536 s^2 dl^-1 has exactly 65536 segments
-    proc = subprocess.run(
-        [sys.executable, "-m", "tunnel_slopes", "twoBridge", str(4 * 65536 + 1), "2"],
-        capture_output=True,
-        text=True,
-        timeout=20,
-        preexec_fn=cap_address_space,
-    )
+    proc = _run_capped(["twoBridge", str(4 * 65536 + 1), "2"])
     assert (proc.returncode, proc.stderr) == (0, "")
     lines = proc.stdout.splitlines()
     assert len(lines) == 4
     label, slopes = lines[1][:25], lines[1][25:].split(", ")
     assert (label, slopes[0]) == ("Upper semisimple tunnel: ", "[ 2/5 ]")
     assert slopes[1:] == ["-1"] * 65535
+
+
+# Accepted input at the limit of the commands that run no reduction loop:
+# (argv, the start of stdout).  K(262145, 2) is K(4 * 65536 + 1, 2), whose
+# upper semisimple word has exactly 65536 segments.
+_AT_THE_LIMIT = [
+    (
+        ["braidWord", "1", "3", *["7", "5"] * 59999],
+        "m 1 s 2 l -1 s -2 l 1 m 1 s 2 l -1 s -2 l 1 m 1 ",
+    ),
+    (
+        ["find2BridgeKnot", "2", "5", *["-1", "1"] * 65535],
+        "The tunnel is the upper semisimple tunnel of K( 262145, 2 ), "
+        "or equivalently the lower semisimple tunnel of K( 262145, 131073 ).\n",
+    ),
+    (["torusUpperSlopes", "65536", "65535"], "[ 1/3 ], 5, 7, 9, 11, "),
+    (["torusLowerSlopes", "65536", "65535"], "[ 1/3 ], 5, 7, 9, 11, "),
+    (["fullTorusBraidWord", "65536", "65535"], "l -1 m 1 l -1 m 1 "),
+    (["fullTorusBraidWord", "-65536", "65535"], "l 2 m 1 l 1 m 1 "),
+    (["upperSemisimpleBraidWord", "262145", "2"], "m -65536 s 2 l -1\n"),
+    (["lowerSimpleBraidWord", "262145", "2"], "m -1 s 2 l -65536\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, start",
+    _AT_THE_LIMIT,
+    ids=[
+        "braidWord",
+        "find2BridgeKnot",
+        "torusUpperSlopes",
+        "torusLowerSlopes",
+        "fullTorusBraidWord",
+        "fullTorusBraidWordNegative",
+        "upperSemisimpleBraidWord",
+        "lowerSimpleBraidWord",
+    ],
+)
+def test_input_at_the_limit_runs_at_once(argv, start):
+    proc = _run_capped(argv)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith(start)
 
 
 def test_parse_error_exits_two():

@@ -22,7 +22,10 @@ the one-letter merge, and `reverse_word`, `double_coset_trim` and each
 `segment` piece by passing their letters through `word` again.  Its oracles
 keep that code; the production versions reverse, slice and split canonical
 words as they are, and must give the same letters and the same errors.
-Every word-returning public function must return a canonical word.
+The product of two canonical words calls `word` only when the seam letters
+share a name; it must give `oracle_word`'s letters when the seam merges,
+cancels in a cascade, or touches an empty word.  Every word-returning
+public function must return a canonical word.
 """
 
 import math
@@ -309,6 +312,42 @@ def _assert_canonical(w):
     for name, exponent in w.letters:
         assert name in GENERATORS and isinstance(exponent, int) and exponent, w
     assert all(x[0] != y[0] for x, y in zip(w.letters, w.letters[1:])), w
+
+
+@st.composite
+def _word_pairs(draw):
+    """Two canonical words, often with a seam where merges happen.
+
+    Besides two independent words: either word empty; a right word whose
+    first letter merges with the left word's last without cancelling it; and
+    a right word that starts with the inverse of the left word's last one to
+    three letters, so that cancellation cascades across the seam.
+    """
+    left, right = draw(_canonical_words()), draw(_canonical_words())
+    shape = draw(st.sampled_from(("any", "empty", "merge", "cancel")))
+    if shape == "empty":
+        return draw(st.sampled_from(((BraidWord(), right), (left, BraidWord()))))
+    if shape == "any" or not left:
+        return left, right
+    if shape == "merge":
+        name, exponent = left.letters[-1]
+        start = ((name, draw(st.integers(-6, 6).filter(lambda e: e and e != -exponent))),)
+    else:
+        cancelled = left.letters[-draw(st.integers(1, min(3, len(left.letters)))) :]
+        start = tuple((name, -exponent) for name, exponent in reversed(cancelled))
+    rest = right.letters
+    if rest and rest[0][0] == start[-1][0]:
+        rest = rest[1:]  # the next letter has another name, so right stays canonical
+    return left, BraidWord(start + rest)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(_word_pairs())
+def test_products_match_the_oracle_and_are_canonical(pair):
+    a, b = pair
+    product = a * b
+    assert product.letters == oracle_word(a.letters + b.letters).letters, (a, b)
+    _assert_canonical(product)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
