@@ -193,12 +193,17 @@ def reverse_word(w: BraidWord) -> BraidWord:
 
 
 def _even_odd_letters(cf: Sequence[int]) -> list[Letter]:
-    """The letters dm^-a1 s^b1 ... dm^-an s^bn spelling [2a1, b1, ..., 2an, bn].
+    """The letters s^bn dl^-an ... s^b1 dl^-a1 for [2a1, b1, ..., 2an, bn].
 
-    The expansion is expand_odd_numerator's even-odd shape, spelled left to
-    right and not merged: a1 is 0 when the expanded value lies within 1 of 0.
+    The expansion is expand_odd_numerator's even-odd shape, spelled right to
+    left with dl for the a-steps, as braid_from_slopes lays each slope, and
+    not merged: a1 is 0 when the expanded value lies within 1 of 0.  Its
+    _reversed, dm^-a1 s^b1 ... dm^-an s^bn, is the 2-bridge spelling.
     """
-    return [("s", x) if j % 2 else ("m", -(x // 2)) for j, x in enumerate(cf)]
+    letters: list[Letter] = []
+    for j in range(len(cf) - 2, -1, -2):
+        letters += (("s", cf[j + 1]), ("l", -(cf[j] // 2)))
+    return letters
 
 
 def winding_number(w: BraidWord) -> int:
@@ -212,9 +217,14 @@ def winding_number(w: BraidWord) -> int:
     >>> winding_number(parse_word("m 1 l 1"))
     -1
     """
+    return _winding(w.letters)
+
+
+def _winding(letters: Iterable[Letter]) -> int:
+    """winding_number of the word these letters spell, merged or not."""
     total = 0
     s_parity = 1
-    for name, exponent in w.letters:
+    for name, exponent in letters:
         if name == "s":
             s_parity = s_parity if exponent % 2 == 0 else -s_parity
         elif name == "l":

@@ -25,6 +25,7 @@ unknown one, a malformed word or slope list, or the wrong number of integers.
 
 from __future__ import annotations
 
+import os
 import sys
 from collections.abc import Sequence
 
@@ -163,21 +164,31 @@ def _fail(message: object, code: int) -> int:
     return code
 
 
+def _write(text: str) -> int:
+    """Print text on stdout and return 0, or 1 when the reader closed stdout early."""
+    try:
+        print(text)
+        sys.stdout.flush()  # a closed pipe fails here, inside the guard
+    except BrokenPipeError:
+        # the flush at interpreter exit would fail again, so point stdout at devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return 0
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one command line (sys.argv[1:] by default); return the exit status."""
     argv = sys.argv[1:] if argv is None else list(argv)
     rows = {row[0]: row for row in _commands()}
     if argv[:1] in (["-h"], ["--help"]):
-        print(_program_help(rows.values()))
-        return 0
+        return _write(_program_help(rows.values()))
     if not argv or argv[0] not in rows:
         given = f"unknown command {argv[0]!r}" if argv else "no command given"
         return _fail(f"{given}; run 'tunnel-slopes --help' for the list", 2)
     name, kind, run, _ = rows[argv[0]]
     tokens = argv[1:]
     if "-h" in tokens or "--help" in tokens:
-        print(_command_help(rows[name]))
-        return 0
+        return _write(_command_help(rows[name]))
     values = [token for token in tokens if token != "--json"]
     try:
         if kind is _WORD:
@@ -199,8 +210,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError:  # an integer over Python's limit on int-to-str conversion
         limit = sys.get_int_max_str_digits()
         return _fail(f"the result has an integer too long to print (the limit is {limit} digits)", 1)
-    print(output)
-    return 0
+    return _write(output)
 
 
 if __name__ == "__main__":

@@ -165,9 +165,13 @@ def expand_odd_numerator(x: Fraction | int) -> tuple[int, ...]:
     Requires x with odd numerator; cf_eval of the result equals x exactly.
     """
     x = Fraction(x)
-    p, q = x.numerator, x.denominator
-    if p % 2 == 0:
+    if x.numerator % 2 == 0:
         raise DomainError(f"{x} has even numerator, no even-odd expansion exists")
+    return tuple(_expand_odd(x.numerator, x.denominator))
+
+
+def _expand_odd(p: int, q: int) -> list[int]:
+    """The entries of expand_odd_numerator(p/q), for integers p odd and q > 0."""
     entries: list[int] = []
     while True:
         # x = p/q with q > 0 and p odd throughout the a-steps
@@ -180,7 +184,7 @@ def expand_odd_numerator(x: Fraction | int) -> tuple[int, ...]:
         entries.append(b)
         p, q = q, p - b * q
         if not q:
-            return tuple(entries)
+            return entries
         if q < 0:
             p, q = -p, -q
 

@@ -14,7 +14,8 @@ entries reversed and negated, so two_bridge_tunnels reads both semisimple
 sequences from one expansion.  The module also builds the braid words whose
 upper tunnels are the semisimple ones, which the CLI prints;
 two_bridge_tunnels refuses K(a, b) by the same dm count that segment uses,
-taken over both words' spelled letters without building the words.
+read off the a-steps of both words' even-odd expansions without spelling a
+letter.
 
 The (p, q) torus knot's tunnels have slope sequences read off the staircase
 of heights ceil(k p / q), and a sequence arising that way can be recognized
@@ -32,7 +33,7 @@ from .braid import (
     SIZE_LIMIT,
     BraidWord,
     _even_odd_letters,
-    _segment_count,
+    _reversed,
     reverse_word,
     word,
 )
@@ -40,6 +41,7 @@ from .errors import DomainError
 from .exact_arith import (
     SimpleSlope,
     _Value,
+    _expand_odd,
     cf_eval,
     expand_all_even,
     expand_odd_numerator,
@@ -132,9 +134,9 @@ def two_bridge_tunnels(a: int, b: int) -> TwoBridgeReport:
     The semisimple sequences are the upper slopes of upper_semisimple_word
     for (a, b) and (a, b'), and K(a, b) is refused exactly when the slope
     engine would refuse one of those words: when it splits into more than
-    SIZE_LIMIT segments.  The refusal takes segment's dm count over the
-    letters spelled from the even-odd expansions of a/b and a/b' (see
-    _semisimple_segments) and builds neither word.  Both sequences are read
+    SIZE_LIMIT segments.  The refusal reads segment's dm count off the
+    a-steps of the even-odd expansions of a/b and a/b' (see
+    _semisimple_segments) and spells neither word.  Both sequences are read
     from expand_all_even(a, b), the lower one by walking its reversal with
     every entry negated, which is the expansion for (a, b').  expand_all_even
     counts slopes only for (a, b); the segment count is never below the
@@ -157,27 +159,28 @@ def two_bridge_tunnels(a: int, b: int) -> TwoBridgeReport:
 def _semisimple_segments(a: int, b: int) -> int:
     """The number of segments upper_semisimple_word(a, b) splits into.
 
-    segment takes _segment_count over the trimmed word's letters; this takes
-    it over the letters _even_odd_letters spells for a/b, each a-step 2c as
-    dm^-c, before they are merged or trimmed.  The two counts agree, since
-    merging and trimming remove no dm letter:
+    segment takes the sum of |k| over the trimmed word's dm^k letters; this
+    sums |c| over the a-steps 2c of the even-odd expansion of a/b, which the
+    word spells as dm^-c, with no letters spelled, merged or trimmed.  The
+    two counts agree, since merging and trimming remove no dm letter:
     - a/b > 1, so the first a-step is at least 2 and the word starts with dm,
       which the <dl, s> prefix trim leaves;
     - later a-steps have magnitude at least 2, and b-steps are never 0, so
       no two dm letters merge;
     - the word ends in dl^-1, so the <dm, s> suffix trim removes nothing.
     """
-    return _segment_count(_even_odd_letters(expand_odd_numerator(Fraction(a, b))))
+    return sum(abs(step) for step in _expand_odd(a, b)[::2]) // 2
 
 
 def upper_semisimple_word(a: int, b: int) -> BraidWord:
     """A braid word whose upper tunnel is the upper semisimple tunnel of K(a, b).
 
-    The word spells the even-odd expansion of a/b left to right and closes
-    with a single dl^-1.
+    The word spells the even-odd expansion of a/b left to right, as the
+    reverse of braid_from_slopes's spelling, and closes with a single dl^-1.
     """
     TwoBridge(a, b)
-    return word(_even_odd_letters(expand_odd_numerator(Fraction(a, b))) + [("l", -1)])
+    spelled = _reversed(_even_odd_letters(expand_odd_numerator(Fraction(a, b))))
+    return word(spelled + (("l", -1),))
 
 
 def lower_simple_word(a: int, b: int) -> BraidWord:

@@ -18,7 +18,7 @@ from .braid import (
     _even_odd_letters,
     _parse_int,
     _push,
-    _reversed,
+    _winding,
     reverse_word,
     segment,
     subgroup_slope,
@@ -26,7 +26,7 @@ from .braid import (
     word,
 )
 from .errors import DomainError, ParseError
-from .exact_arith import INFINITY, SimpleSlope, _Value, expand_odd_numerator
+from .exact_arith import INFINITY, SimpleSlope, _Value, _expand_odd
 
 __all__ = [
     "SlopeSequence",
@@ -196,31 +196,35 @@ def lower_slopes(w: BraidWord) -> SlopeSequence:
 def braid_from_slopes(seq: SlopeSequence) -> BraidWord:
     """A braid word whose upper tunnel has the given slope sequence.
 
-    The empty sequence yields the empty word.  Each slope's even-odd
-    continued fraction [2a1, b1, ..., 2an, bn] has the 2-bridge spelling
-    dm^-a1 s^b1 ... dm^-an s^bn (as in upper_semisimple_word), and the slope
-    is spelled as S = dm s followed by that spelling reversed with dm and dl
-    exchanged, S = dm s^(1+bn) dl^-an ... s^b1 dl^-a1.  The blocks are laid
-    right to left: block i is S_i dl^t, where t is the winding of the word R
-    already built to its right.  Winding is a homomorphism, w(AB) = w(A) +
-    (-1)^s(A) w(B) with s(A) the total s-exponent of A, so with
-    e = (-1)^s(S_i)
+    The empty sequence yields the empty word.  Each slope p/q (the first one
+    read as q/p from its class p/q) is expanded in integers into the
+    even-odd continued fraction [2a1, b1, ..., 2an, bn], and spelled as the
+    block S = dm s s^bn dl^-an ... s^b1 dl^-a1: dm s, then the 2-bridge
+    spelling dm^-a1 s^b1 ... dm^-an s^bn reversed with dm and dl exchanged.
+    The blocks are laid right to left: block i is S_i dl^t, where t is the
+    winding of the word R already built to its right.  Winding is a
+    homomorphism, w(AB) = w(A) + (-1)^s(A) w(B) with s(A) the total
+    s-exponent of A, so with e = (-1)^s(S_i)
 
         w(S_i dl^t R) = (w(S_i) - e t) + e t = w(S_i).
 
-    Each block's twist is therefore winding_number of the previous block's
-    spelling alone, one integer carried from block to block.  The word is
-    canonicalized once, then shrunk by peephole.
+    So one pass over the slopes spells each block S_i into one list, reads
+    the next block's twist off that list by the winding rule, and only then
+    appends S_i's own dl^t; no word is built per block.  The blocks' letters
+    are canonicalized once, in the order the word lays them, then shrunk by
+    peephole.
     """
     if not seq:
         return BraidWord()
-    blocks: list[tuple[Letter, ...]] = []
+    blocks: list[list[Letter]] = []
     twist = 0
-    for target in [Fraction(seq.first.q, seq.first.p), *seq.rest]:
-        spelling = (("m", 1), ("s", 1)) + _reversed(_even_odd_letters(expand_odd_numerator(target)))
-        blocks.append(spelling + (("l", twist),))
-        # winding_number reads letter by letter, so the spelling needs no merging
-        twist = winding_number(BraidWord(spelling))
+    pairs = [(x.numerator, x.denominator) for x in seq.rest]
+    for p, q in [(seq.first.q, seq.first.p), *pairs]:
+        block = [("m", 1), ("s", 1), *_even_odd_letters(_expand_odd(p, q))]
+        spelled = _winding(block)
+        block.append(("l", twist))
+        blocks.append(block)
+        twist = spelled
     return peephole(word([letter for block in reversed(blocks) for letter in block]))
 
 

@@ -50,6 +50,11 @@ ROUND_TRIP = (
     "tests/test_slope_engine.py::test_braid_from_slopes_deterministic_output",
     "tests/test_slope_engine.py::test_braid_from_slopes_round_trips_pinned_sequences",
 )
+SPELLING_ORACLE = (
+    "tests/test_oracles.py::test_braid_from_slopes_matches_oracle_on_random_sequences",
+    "tests/test_oracles.py::test_braid_from_slopes_matches_oracle_on_lower_sequences",
+    "tests/test_oracles.py::test_braid_from_slopes_matches_oracle_on_deep_sequences",
+)
 
 ROWS = (
     # the letter kernel: word
@@ -86,16 +91,23 @@ ROWS = (
     Mutant(
         "carried twist flipped",
         ENGINE,
-        'blocks.append(spelling + (("l", twist),))',
-        'blocks.append(spelling + (("l", -twist),))',
+        'block.append(("l", twist))',
+        'block.append(("l", -twist))',
         ROUND_TRIP,
     ),
     Mutant(
         "carried twist zeroed",
         ENGINE,
-        'blocks.append(spelling + (("l", twist),))',
-        'blocks.append(spelling + (("l", 0),))',
+        'block.append(("l", twist))',
+        'block.append(("l", 0))',
         ROUND_TRIP,
+    ),
+    Mutant(
+        "the twist is read after the block's own dl letter is appended",
+        ENGINE,
+        '        spelled = _winding(block)\n        block.append(("l", twist))\n',
+        '        block.append(("l", twist))\n        spelled = _winding(block)\n',
+        SPELLING_ORACLE,
     ),
     # the one winding rule
     Mutant(
@@ -109,9 +121,16 @@ ROWS = (
     Mutant(
         "the speller writes b-steps as dm",
         BRAID,
-        'return [("s", x) if j % 2 else',
-        'return [("m", x) if j % 2 else',
+        'letters += (("s", cf[j + 1]),',
+        'letters += (("m", cf[j + 1]),',
         ("tests/test_knot_families.py::test_semisimple_word_byte_pins",),
+    ),
+    Mutant(
+        "the speller leaves dm and dl unswapped",
+        BRAID,
+        '("l", -(cf[j] // 2)))',
+        '("m", -(cf[j] // 2)))',
+        SPELLING_ORACLE,
     ),
     Mutant(
         "the reversal keeps dm and dl",
@@ -141,6 +160,17 @@ ROWS = (
         "_semisimple_segments(a, dual)) > SIZE_LIMIT:",
         "_semisimple_segments(a, dual)) >= SIZE_LIMIT:",
         ("tests/test_cli.py::test_two_bridge_at_the_size_limit_runs_at_once",),
+    ),
+    Mutant(
+        "_semisimple_segments sums the landings instead of the steps",
+        FAMILIES,
+        "for step in _expand_odd(a, b)[::2]",
+        "for step in _expand_odd(a, b)[1::2]",
+        (
+            "tests/test_oracles.py::"
+            "test_two_bridge_tunnels_refuse_as_the_engine_does_near_the_size_limit",
+            "tests/test_oracles.py::test_semisimple_segment_count_is_the_trimmed_words_dm_total",
+        ),
     ),
     Mutant(
         "two_bridge_tunnels counts only (a, b)",

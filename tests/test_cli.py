@@ -274,6 +274,23 @@ def test_input_at_the_limit_runs_at_once(argv, start):
     assert proc.stdout.startswith(start)
 
 
+def test_a_reader_that_closes_stdout_early_gets_a_quiet_exit():
+    # the word runs to about 1.3 MB, far more than a pipe holds, so the
+    # child is still writing when its reader goes
+    argv, start = _AT_THE_LIMIT[0]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tunnel_slopes", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        preexec_fn=cap_address_space,
+    )
+    assert proc.stdout.read(10) == start[:10].encode()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=20)
+    # no traceback, and no "Exception ignored" line from the flush at exit
+    assert (proc.returncode, err) == (1, b"")
+
+
 def test_parse_error_exits_two():
     code, out, err = run_cli(["upperSlopes", "m", "1", "s"])
     assert code == 2

@@ -11,8 +11,9 @@ which eliminates the first infinite slope with one helper and absorbs an
 integral first slope with another, reading each slope off a word twisted by
 dl^-t.  The production versions must give the same letters, sequences or
 reports on random, relator-fuzzed and deep inputs, and `two_bridge_tunnels`
-must refuse the same parameters: the segment count it reads off the even-odd
-expansions must be the dm total of the trimmed semisimple braid words.
+must refuse the same parameters: the segment count it reads off the a-steps
+of the even-odd expansions must be the dm total of the trimmed semisimple
+braid words, and of their old left-to-right spelling before any merge.
 `find_two_bridge` checks conditions iii and iv inside its inverse walk; its
 oracle checks them in passes of their own, and the two must give the same
 match or the same rejection on random sequences near the semisimple ones.
@@ -55,7 +56,7 @@ from tunnel_slopes import (
     upper_semisimple_word,
     upper_slopes,
 )
-from tunnel_slopes import slope_engine
+from tunnel_slopes import braid, slope_engine
 from tunnel_slopes.braid import (
     GENERATORS,
     SIZE_LIMIT,
@@ -548,6 +549,18 @@ def test_braid_from_slopes_matches_oracle_on_lower_sequences():
     assert max(depths) >= 40
 
 
+def test_braid_from_slopes_matches_oracle_on_deep_sequences():
+    # the oracle rereads the whole word built so far for each block's twist,
+    # quadratic in the depth, so a few deep draws keep its cost near a second
+    rng = Random(3003)
+    for i in range(16):
+        bound = 10**30 if i % 4 == 0 else 999
+        seq = SlopeSequence()
+        while len(seq.rest) < 200:  # depth 200-300
+            seq = random_valid_slopes(rng, max_d=300, bound=bound)
+        assert braid_from_slopes(seq).letters == oracle_braid_from_slopes(seq).letters, seq
+
+
 def oracle_two_bridge_tunnels(a, b, engine=upper_slopes):
     """All four tunnels of K(a, b), the semisimple ones read by the slope engine.
 
@@ -639,14 +652,29 @@ def _trimmed_dm_total(a, b):
     return sum(abs(k) for name, k in trimmed.letters if name == "m")
 
 
+def oracle_even_odd_letters(cf):
+    """The 2-bridge spelling dm^-a1 s^b1 ... dm^-an s^bn, left to right."""
+    return [("s", x) if j % 2 else ("m", -(x // 2)) for j, x in enumerate(cf)]
+
+
+def _spelled_dm_total(a, b):
+    return braid._segment_count(oracle_even_odd_letters(expand_odd_numerator(Fraction(a, b))))
+
+
 def test_semisimple_segment_count_is_the_trimmed_words_dm_total():
     # b' runs over the same residues as b, so one pass over the coprime pairs
     # checks the count for c = b and for c = b' alike
     for a, c in _coprime_pairs(range(3, 402, 2)):
-        assert _semisimple_segments(a, c) == _trimmed_dm_total(a, c), (a, c)
-    for a, b in _NEAR_LIMIT:
+        count = _semisimple_segments(a, c)
+        assert count == _trimmed_dm_total(a, c) == _spelled_dm_total(a, c), (a, c)
+    for a, b in [*_NEAR_LIMIT, (131073, 1)]:
         for c in (b, pow(b, -1, a)):
-            assert _semisimple_segments(a, c) == _trimmed_dm_total(a, c), (a, c)
+            count = _semisimple_segments(a, c)
+            assert count == _trimmed_dm_total(a, c) == _spelled_dm_total(a, c), (a, c)
+    # K(262145, 2) and K(131073, 1) are accepted at the limit, K(524277, 4) is refused
+    assert _semisimple_segments(4 * SIZE_LIMIT + 1, 2) == SIZE_LIMIT
+    assert _semisimple_segments(131073, 1) == SIZE_LIMIT
+    assert _semisimple_segments(524277, 4) == SIZE_LIMIT + 1
 
 
 def oracle_find_two_bridge(seq):
