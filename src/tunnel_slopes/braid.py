@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Iterable, Sequence
-from fractions import Fraction
 
 from .errors import DomainError, ParseError
-from .exact_arith import INFINITY, SIZE_LIMIT, ExtRational, _Value
+from .exact_arith import INFINITY, SIZE_LIMIT, ExtRational, _coprime, _Value
 
 __all__ = [
     "GENERATORS",
@@ -323,9 +322,9 @@ def subgroup_slope(u: BraidWord) -> ExtRational:
     u must lie in the subgroup < dl, s >.  The slope is a/b for the column
     (a, b) that u's action makes of (1, 0): a rational with odd numerator,
     or INFINITY for the dl-axis b == 0 (in particular for the empty word).
-    The action is unimodular, so the column is coprime and a/b is already
-    in lowest terms; the slope engine untwists the numerator and denominator
-    as integers, with no gcd.
+    The action is unimodular, so the column is coprime and a/b is built
+    in lowest terms with no gcd; the slope engine untwists the numerator and
+    denominator as integers, with no gcd either.
 
     >>> subgroup_slope(parse_word("s 3 l -1"))
     Fraction(7, 3)
@@ -333,4 +332,4 @@ def subgroup_slope(u: BraidWord) -> ExtRational:
     a, b = _subgroup_column(u)
     if b == 0:
         return INFINITY
-    return Fraction(a, b)
+    return _coprime(a, b)  # the column of a unimodular action

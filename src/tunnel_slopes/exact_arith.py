@@ -120,8 +120,38 @@ class SimpleSlope(_Value):
         """The class of x modulo 1."""
         return cls(x.numerator % x.denominator, x.denominator)
 
+    @classmethod
+    def _of_coprime(cls, p: int, q: int) -> "SimpleSlope":
+        """The class of p/q modulo 1, for coprime p and q != 0, with no gcd.
+
+        Only for a pair that is coprime by construction: the caller says why
+        at the call site.  The public constructors keep their checks.
+        """
+        if q < 0:
+            p, q = -p, -q
+        slope = object.__new__(cls)
+        object.__setattr__(slope, "p", p % q)
+        object.__setattr__(slope, "q", q)
+        return slope
+
     def __str__(self) -> str:
         return f"[ {self.p}/{self.q} ]"
+
+
+def _coprime(p: int, q: int) -> Fraction:
+    """The Fraction p/q for coprime p and q != 0, built with no gcd.
+
+    Only for a pair that is coprime by construction: the caller says why at
+    the call site.  The sign moves to the numerator; then the two slot
+    writes are those of CPython 3.12's Fraction._from_coprime_ints, which
+    3.10 and 3.11 lack, so one path serves every supported version.
+    """
+    if q < 0:
+        p, q = -p, -q
+    x = object.__new__(Fraction)
+    x._numerator = p
+    x._denominator = q
+    return x
 
 
 def cf_eval(entries: Sequence[int]) -> ExtRational:

@@ -40,6 +40,7 @@ from .braid import (
 from .errors import DomainError
 from .exact_arith import (
     SimpleSlope,
+    _coprime,
     _Value,
     _expand_odd,
     cf_eval,
@@ -216,13 +217,14 @@ def _semisimple_walk(entries: Sequence[int]) -> SlopeSequence:
     """
     unit = 1 if entries[-2] > 0 else -1
     landing = entries[-1]
-    first = SimpleSlope.from_fraction(Fraction(landing + (unit - 1) // 2, 2 * landing + unit))
+    # n / (2n + 1) with n = landing + (unit - 1) / 2, which is coprime
+    first = SimpleSlope._of_coprime(landing + (unit - 1) // 2, 2 * landing + unit)
     rest = [Fraction(-unit)] * (abs(entries[-2]) // 2 - 1)
     for i in range(len(entries) - 4, -1, -2):
         prev, unit = unit, 1 if entries[i] > 0 else -1
         k = entries[i + 1] + (unit + prev) // 2
         assert k != 0
-        rest.append(Fraction(1 - 2 * prev * k, k))
+        rest.append(_coprime(1 - 2 * prev * k, k))  # gcd(1 - 2 prev k, k) = gcd(1, k)
         rest.extend([Fraction(-unit)] * (abs(entries[i]) // 2 - 1))
     return SlopeSequence(first, tuple(rest))
 

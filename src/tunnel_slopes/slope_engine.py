@@ -26,7 +26,7 @@ from .braid import (
     word,
 )
 from .errors import DomainError, ParseError
-from .exact_arith import INFINITY, SimpleSlope, _Value, _expand_odd
+from .exact_arith import INFINITY, SimpleSlope, _coprime, _Value, _expand_odd
 
 __all__ = [
     "SlopeSequence",
@@ -144,12 +144,12 @@ def _segment_slopes(omegas: Sequence[BraidWord]) -> list[tuple[int, int]]:
 
 
 def _eliminate(omegas: Sequence[BraidWord], i: int) -> list[BraidWord]:
-    """Merge segment i away: the one merge rule of the reduction.
+    """Merge segment i, whose slope is INFINITY, away.
 
     The last segment drops itself and the one before it.  Any other segment
     i is replaced, with its neighbours, by omegas[i + 1] dl^w omegas[i - 1],
     where w is the winding of omegas[i] and segment 0 has no right
-    neighbour; so a lone segment leaves nothing.
+    neighbour.
     """
     omegas = list(omegas)
     if i == len(omegas) - 1:
@@ -168,24 +168,29 @@ def upper_slopes(w: BraidWord) -> SlopeSequence:
     (q == 0 in its pair); that segment is merged away with _eliminate.  The
     slopes left of it are never read in that round, since the merge takes
     in its neighbours and the next round reads them all again.  A round
-    with no INFINITY reads every slope; it merges the rightmost segment
-    away when it carries an integral first slope (|p| == 1, since the first
-    slope is q/p), and otherwise its slopes are the reduced form.  The
-    rounds stop there (possibly at the empty sequence); Fractions are built
-    only for the sequence returned.
+    with no INFINITY reads every slope, and the rounds stop there.
+
+    An integral first slope (|p| == 1, since the first slope is q/p) is
+    then absorbed: merging segment 0 into segment 1 as omegas[1] dl^w, with
+    w the winding of omegas[0], gives segment 1's pair untwisted by -w,
+    which is the pair it already has, and leaves the suffix windings above
+    unchanged.  So each absorption drops the bottom pair and keeps the rest,
+    and the pairs left (possibly none) are the reduced form.  Fractions are
+    built only for the sequence returned.
     """
-    omegas = segment(w)
-    while omegas:
+    omegas = segment(w) or []
+    slopes = _segment_slopes(omegas)
+    while slopes and slopes[-1][1] == 0:
+        omegas = _eliminate(omegas, len(slopes) - 1)
         slopes = _segment_slopes(omegas)
-        if slopes[-1][1] == 0:
-            omegas = _eliminate(omegas, len(slopes) - 1)
-        elif abs(slopes[0][0]) == 1:
-            omegas = _eliminate(omegas, 0)
-        else:
-            p, q = slopes[0]
-            first = SimpleSlope.from_fraction(Fraction(q, p))
-            return SlopeSequence(first, tuple(Fraction(p, q) for p, q in slopes[1:]))
-    return SlopeSequence()
+    bottom = 0
+    while bottom < len(slopes) and abs(slopes[bottom][0]) == 1:
+        bottom += 1
+    if bottom == len(slopes):
+        return SlopeSequence()
+    # every pair is a coprime column (a, b) untwisted to (a + 2tb, b)
+    (p, q), *rest = slopes[bottom:]
+    return SlopeSequence(SimpleSlope._of_coprime(q, p), tuple(_coprime(p, q) for p, q in rest))
 
 
 def lower_slopes(w: BraidWord) -> SlopeSequence:

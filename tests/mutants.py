@@ -191,6 +191,13 @@ ROWS = (
         ("tests/test_slope_engine.py::test_upper_slopes_pinned_values",),
     ),
     Mutant(
+        "the bottom pop drops at most one integral slope",
+        ENGINE,
+        "    while bottom < len(slopes) and abs(slopes[bottom][0]) == 1:\n",
+        "    if bottom < len(slopes) and abs(slopes[bottom][0]) == 1:\n",
+        ("tests/test_oracles.py::test_upper_slopes_matches_oracle_on_random_words",),
+    ),
+    Mutant(
         "_eliminate merges with its neighbours in the wrong order",
         ENGINE,
         "[merged * omegas[i - 1]]",
@@ -204,6 +211,16 @@ ROWS = (
         "a2 = -2 * ((q - p) // (2 * q))",
         "a2 = 2 * ((p + q) // (2 * q))",
         ("tests/test_exact_arith.py::test_expand_odd_numerator_tie_breaking",),
+    ),
+    Mutant(
+        "_coprime keeps a negative denominator",
+        ARITH,
+        "    if q < 0:\n        p, q = -p, -q\n    x = object.__new__(Fraction)\n",
+        "    x = object.__new__(Fraction)\n",
+        (
+            "tests/test_exact_arith.py::"
+            "test_coprime_builds_the_fraction_the_constructor_builds",
+        ),
     ),
     Mutant(
         "_nearest_even rounds ties up",

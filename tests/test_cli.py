@@ -274,6 +274,34 @@ def test_input_at_the_limit_runs_at_once(argv, start):
     assert proc.stdout.startswith(start)
 
 
+# Lines the reduction loop must get through at once: (argv, exit status,
+# stdout, stderr).  m -4000 s 1 l 1 splits into 4000 segments whose slopes
+# are all integral, and lowerSlopes reads the same word from its reverse.
+# The last line is one segment of 4290-digit exponents whose column grows to
+# about 430,000 digits; its slopes are read with no gcd.
+_DIGITS_4290 = "7" * 4290
+_ENGINE_AT_SCALE = [
+    (["upperSlopes", "m", "-4000", "s", "1", "l", "1"], 0, cli.TRIVIAL_TEXT + "\n", ""),
+    (["lowerSlopes", "m", "1", "s", "1", "l", "-4000"], 0, cli.TRIVIAL_TEXT + "\n", ""),
+    (
+        ["upperSlopes", "m", "-1", *["s", _DIGITS_4290, "l", _DIGITS_4290] * 50, "s", "1"],
+        1,
+        "",
+        "error: the result has an integer too long to print (the limit is 4300 digits)\n",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    _ENGINE_AT_SCALE,
+    ids=["upperSlopesIntegral", "lowerSlopesIntegral", "upperSlopesLongExponents"],
+)
+def test_reduction_at_scale_runs_at_once(argv, code, out, err):
+    proc = _run_capped(argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+
 def test_a_reader_that_closes_stdout_early_gets_a_quiet_exit():
     # the word runs to about 1.3 MB, far more than a pipe holds, so the
     # child is still writing when its reader goes

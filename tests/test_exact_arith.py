@@ -1,6 +1,8 @@
 """Continued fractions, 2x2 matrices, greedy expansions, modular inverses."""
 
 import math
+import pickle
+import sys
 from fractions import Fraction
 from itertools import product
 from random import Random
@@ -13,6 +15,7 @@ from conftest import MAT_IDENTITY, MAT_L, MAT_U, Mat2, matrix_cf_value
 from tunnel_slopes import DomainError, SimpleSlope
 from tunnel_slopes.exact_arith import (
     INFINITY,
+    _coprime,
     cf_eval,
     expand_all_even,
     expand_odd_numerator,
@@ -226,3 +229,65 @@ def test_simple_slope_rejects_invalid():
     for p, q in [(1, 0), (3, 2), (-1, 3), (2, 4), (0, 3)]:
         with pytest.raises(DomainError):
             SimpleSlope(p, q)
+
+
+@pytest.fixture
+def no_int_str_limit():
+    """Lift the limit on int-to-str conversion, so 5000-digit values print."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _coprime_pairs():
+    """Seeded coprime pairs (p, q), q != 0, of either sign, up to 5000 digits."""
+    rng = Random(2212)
+    pairs = [(0, 1), (0, -1), (1, -1), (-7, -3), (5, 1), (-5, -1)]
+    for digits in [1, 2, 30, 5000] * 25:
+        p = rng.randint(-(10**digits), 10**digits)
+        q = rng.choice((-1, 1)) * rng.randint(1, 10**digits)
+        g = math.gcd(p, q)
+        pairs.append((p // g, q // g))
+    return pairs
+
+
+def test_coprime_builds_the_fraction_the_constructor_builds(no_int_str_limit):
+    # _coprime writes Fraction's slots itself, so a change to them fails here
+    other = Fraction(-22, 7)
+    for p, q in _coprime_pairs():
+        x, y = _coprime(p, q), Fraction(p, q)
+        assert type(x) is Fraction
+        assert (x.numerator, x.denominator) == (y.numerator, y.denominator)
+        assert x == y and hash(x) == hash(y)
+        assert (str(x), repr(x)) == (str(y), repr(y))
+        z = pickle.loads(pickle.dumps(x))
+        assert type(z) is Fraction and (z.numerator, z.denominator) == (y.numerator, y.denominator)
+        for op in (
+            lambda u: u + other,
+            lambda u: u - 1,
+            lambda u: u * other,
+            lambda u: u / other,
+            lambda u: -u,
+            lambda u: abs(u),
+            lambda u: u < other,
+            lambda u: math.floor(u),
+            lambda u: u.limit_denominator(10),
+        ):
+            assert op(x) == op(y)
+
+
+def test_simple_slope_of_coprime_equals_the_checked_class(no_int_str_limit):
+    for p, q in _coprime_pairs():
+        x, y = SimpleSlope._of_coprime(p, q), SimpleSlope.from_fraction(Fraction(p, q))
+        assert type(x) is SimpleSlope
+        assert (x.p, x.q) == (y.p, y.q)
+        assert x == y and hash(x) == hash(y)
+        assert (str(x), repr(x)) == (str(y), repr(y))
+        z = pickle.loads(pickle.dumps(x))
+        assert type(z) is SimpleSlope and z == y
