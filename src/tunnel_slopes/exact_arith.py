@@ -159,18 +159,27 @@ def cf_eval(entries: Sequence[int]) -> ExtRational:
 
     Evaluation is total: a zero tail makes the next level INFINITY, and
     x + 1/INFINITY = x, so e.g. [2, 0, 2] = [4] and [1, 0] = INFINITY.
+
+    It is the integer matrix product
+
+        [[n1, 1], [1, 0]] ... [[nk, 1], [1, 0]] = [[p, p0], [q, q0]]
+
+    taken left to right as the convergent recurrence p_k = n_k p_(k-1) +
+    p_(k-2), and the same for q, from the identity.  Its first column (p, q)
+    is the value p/q, where q = 0 reads as INFINITY, so zero entries and the
+    formal rules need no case of their own.  Each factor has determinant
+    -1, so p q0 - p0 q = +-1 and p and q are coprime: the value is built
+    with no gcd.
     """
     if not entries:
         raise DomainError("cannot evaluate an empty continued fraction")
-    value: ExtRational = INFINITY  # the innermost entry n has n + 1/INFINITY = n
-    for n in reversed(entries):
-        if value is INFINITY:
-            value = Fraction(n)
-        elif value == 0:
-            value = INFINITY
-        else:
-            value = n + 1 / value
-    return value
+    p, p0, q, q0 = 1, 0, 0, 1
+    for n in entries:
+        p, p0 = n * p + p0, p
+        q, q0 = n * q + q0, q
+    if q == 0:
+        return INFINITY
+    return _coprime(p, q)  # p q0 - p0 q = +-1, so gcd(p, q) = 1
 
 
 def _nearest_even(x: Fraction) -> int:

@@ -58,8 +58,9 @@ def matrix_cf_value(entries):
     """Continued-fraction value via alternating U/L matrix products.
 
     U^n1 L^n2 U^n3 ... applied to the right basis column gives
-    n1 + 1/(n2 + 1/(...)) including the formal infinite value, so this is an
-    independent oracle for the recursive evaluation.
+    n1 + 1/(n2 + 1/(...)) including the formal infinite value.  cf_eval
+    multiplies the factors [[n, 1], [1, 0]] instead, so this is an oracle
+    for it built from other matrices.
     """
     prod = MAT_IDENTITY
     for i, n in enumerate(entries):

@@ -223,6 +223,26 @@ ROWS = (
         ),
     ),
     Mutant(
+        "cf_eval starts from the other identity column",
+        ARITH,
+        "    p, p0, q, q0 = 1, 0, 0, 1\n",
+        "    p, p0, q, q0 = 0, 1, 1, 0\n",
+        (
+            "tests/test_exact_arith.py::test_cf_eval_basic_values",
+            "tests/test_oracles.py::test_cf_eval_matches_both_oracles",
+        ),
+    ),
+    Mutant(
+        "cf_eval reads INFINITY off p instead of q",
+        ARITH,
+        "    if q == 0:\n        return INFINITY\n",
+        "    if p == 0:\n        return INFINITY\n",
+        (
+            "tests/test_exact_arith.py::test_cf_eval_formal_infinity_rules",
+            "tests/test_oracles.py::test_cf_eval_matches_both_oracles",
+        ),
+    ),
+    Mutant(
         "_nearest_even rounds ties up",
         ARITH,
         "return 2 * math.ceil(Fraction(x - 1, 2))",

@@ -142,8 +142,8 @@ def test_expand_all_even_never_rounds_a_tie():
     # each tail cf_eval(entries[i:]) is the x the expansion rounded to its
     # nearest even entries[i]; a tie would be an odd integer, 1 from each
     # even neighbour.  The tails are built right to left as p/q, from
-    # INFINITY = 1/0 by p/q -> n + q/p as in cf_eval's loop, so p and q stay
-    # coprime, and the whole expansion's tail is a/bhat.
+    # INFINITY = 1/0 by p/q -> n + q/p, so p and q stay coprime, and the
+    # whole expansion's tail is a/bhat.
     expansions = 0
     for a in range(3, 202, 2):
         for b in range(1, a):

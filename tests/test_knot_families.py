@@ -229,6 +229,27 @@ def test_find_two_bridge_inverts_closed_form_on_sample():
             assert dual == TwoBridge(a, TwoBridge(a, b).dual_b), (a, b)
 
 
+def _odd_fibonacci_pair(digits):
+    """(F_n, F_(n-1)) for the first odd F_n with this many digits."""
+    a, b = 1, 1
+    while a < 10 ** (digits - 1) or a % 2 == 0:
+        a, b = a + b, a
+    return a, b
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [(262145, 2), (131071, 131069), _odd_fibonacci_pair(1000)],
+    ids=["K(262145,2)", "K(131071,131069)", "fibonacci-1000-digits"],
+)
+def test_find_two_bridge_inverts_closed_form_at_scale(a, b):
+    # 65,536 slopes (the size limit) and 32,768, then a pair whose
+    # expansion evaluates to a thousand-digit a/bhat
+    primary, dual = find_two_bridge(semisimple_slopes_closed_form(a, b))
+    assert primary == TwoBridge(a, b)
+    assert dual == TwoBridge(a, TwoBridge(a, b).dual_b)
+
+
 def _converse_draw(rng):
     """A random sequence meeting conditions i-iv, and whether all |k| <= 20.
 

@@ -17,6 +17,10 @@ braid words, and of their old left-to-right spelling before any merge.
 `find_two_bridge` checks conditions iii and iv inside its inverse walk; its
 oracle checks them in passes of their own, and the two must give the same
 match or the same rejection on random sequences near the semisimple ones.
+`cf_eval` multiplies integer matrices; its oracle evaluates right to left in
+`Fraction` arithmetic with the formal rules for INFINITY as cases of their
+own, and the recognizer's oracle uses it, so that it runs none of the code
+under test.
 
 The word layer once canonicalized every word it made: `word` as a fold of
 the one-letter merge, and `reverse_word`, `double_coset_trim` and each
@@ -32,12 +36,14 @@ public function must return a canonical word.
 import math
 from fractions import Fraction
 from functools import partial
+from itertools import product
 from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import matrix_cf_value
 from fuzzing import apply_fuzz, random_fuzz_plan, random_valid_slopes
 
 from tunnel_slopes import (
@@ -486,6 +492,54 @@ def test_lower_slopes_matches_oracle_on_deep_sequences():
     assert max(depths) >= 40
 
 
+def oracle_cf_eval(entries):
+    """[n1, ..., nk] in Fraction arithmetic, right to left, with the formal
+    rules 1/0 = INFINITY and x + 1/INFINITY = x as cases of their own."""
+    if not entries:
+        raise DomainError("cannot evaluate an empty continued fraction")
+    value = INFINITY  # the innermost entry n has n + 1/INFINITY = n
+    for n in reversed(entries):
+        if value is INFINITY:
+            value = Fraction(n)
+        elif value == 0:
+            value = INFINITY
+        else:
+            value = n + 1 / value
+    return value
+
+
+def _cf_entry_lists():
+    """Every list over -3..3 up to length 5; lists of 20-30-digit entries up
+    to length 200; and lists with runs of zeros, at the ends and inside."""
+    for length in range(1, 6):
+        yield from product(range(-3, 4), repeat=length)
+    rng = Random(2424)
+    for length in (1, 2, 3, 200, *(rng.randint(4, 199) for _ in range(12))):
+        yield [rng.choice((-1, 1)) * rng.randrange(10**19, 10**30) for _ in range(length)]
+    for i in range(2000):
+        bound = 10**25 if i % 10 == 0 else 5
+        entries = []
+        for _ in range(rng.randint(1, 6)):
+            entries += [rng.randint(-bound, bound) for _ in range(rng.randint(0, 4))]
+            entries += [0] * rng.randint(1, 5)
+        entries += [rng.randint(-bound, bound) for _ in range(rng.randint(0, 4))]
+        yield entries
+
+
+def test_cf_eval_matches_both_oracles():
+    infinite = 0
+    for entries in _cf_entry_lists():
+        got = cf_eval(entries)
+        for want in (oracle_cf_eval(entries), matrix_cf_value(entries)):
+            if want is INFINITY:
+                assert got is INFINITY, entries
+            else:
+                assert type(got) is Fraction and got == want, entries
+                assert got.denominator > 0, entries
+        infinite += got is INFINITY
+    assert infinite >= 600, infinite
+
+
 def oracle_expand_odd_numerator(x):
     """Even-odd expansion by nearest-even and nearest-integer steps on Fractions."""
     x = Fraction(x)
@@ -718,7 +772,7 @@ def oracle_find_two_bridge(seq):
             unit = -unit
         entries += (k - (unit + prev) // 2, 2 * unit)
     entries.reverse()
-    x = cf_eval(entries)
+    x = oracle_cf_eval(entries)
     assert isinstance(x, Fraction)
     a = abs(x.numerator)
     bhat = x.denominator if x.numerator > 0 else -x.denominator
