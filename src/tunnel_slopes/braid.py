@@ -53,6 +53,8 @@ class BraidWord(_Value):
     a merged run.  __mul__, reverse_word, double_coset_trim and segment rely
     on the invariant: they join, reverse, slice or split the letters of
     canonical words without merging them again where no merge can happen.
+    A product merges only the letters at its seam, and the letters on
+    either side of them are kept as they are.
     """
 
     __slots__ = ("letters",)
@@ -63,15 +65,24 @@ class BraidWord(_Value):
     def __mul__(self, other: "BraidWord") -> "BraidWord":
         """The product: the letters of self, then those of other.
 
-        Both words are canonical, so a merge can start only at the seam.
-        When either word is empty or the seam letters have different names,
-        the joined letters are already canonical and are kept as they are;
-        otherwise `word` merges them, cascading across the seam.
+        Both words are canonical, so a merge can happen only at the seam.
+        While the seam letters share a name, they merge by _push's rule; a
+        merged letter ends the merging, since its neighbours have other
+        names, and a cancelled pair exposes the next two letters as the
+        seam.  Only the seam letters are read: the untouched letters of
+        each word are kept as a slice, and the slices are joined around the
+        merged letter, if any.  With an empty word or a seam of two names,
+        the product is the two words' letters as they are.
         """
         left, right = self.letters, other.letters
-        if not left or not right or left[-1][0] != right[0][0]:
-            return BraidWord(left + right)
-        return word(left + right)
+        i, j = len(left), 0  # left[:i] and right[j:] are untouched
+        while i and j < len(right) and left[i - 1][0] == right[j][0]:
+            seam = [left[i - 1]]
+            _push(seam, *right[j])
+            i, j = i - 1, j + 1
+            if seam:
+                return BraidWord(left[:i] + (seam[0],) + right[j:])
+        return BraidWord(left[:i] + right[j:])
 
     def __str__(self) -> str:
         return format_word(self)

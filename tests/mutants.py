@@ -74,18 +74,41 @@ ROWS = (
     ),
     # the product: a merge only at the seam
     Mutant(
-        "the product never canonicalizes",
+        "the product never merges its seam",
         BRAID,
-        "if not left or not right or left[-1][0] != right[0][0]:",
-        "if True:",
+        "while i and j < len(right) and left[i - 1][0] == right[j][0]:",
+        "while False:",
         ("tests/test_oracles.py::test_products_match_the_oracle_and_are_canonical",),
     ),
     Mutant(
-        "the product's guard reads the left word's first letter",
+        "the product's seam test reads the left word's first letter",
         BRAID,
-        "left[-1][0] != right[0][0]:",
-        "left[0][0] != right[0][0]:",
+        "left[i - 1][0] == right[j][0]:",
+        "left[0][0] == right[j][0]:",
         ("tests/test_oracles.py::test_products_match_the_oracle_and_are_canonical",),
+    ),
+    Mutant(
+        "the product's cascade stops after its first cancelled pair",
+        BRAID,
+        "while i and j < len(right) and left[i - 1][0] == right[j][0]:",
+        "if i and j < len(right) and left[i - 1][0] == right[j][0]:",
+        ("tests/test_oracles.py::test_products_match_the_oracle_and_are_canonical",),
+    ),
+    Mutant(
+        "the product drops a nonzero merged seam letter",
+        BRAID,
+        "return BraidWord(left[:i] + (seam[0],) + right[j:])",
+        "return BraidWord(left[:i] + right[j:])",
+        ("tests/test_oracles.py::test_products_match_the_oracle_and_are_canonical",),
+    ),
+    Mutant(
+        "the product re-canonicalizes a seam of one name with word",
+        BRAID,
+        "        i, j = len(left), 0",
+        "        if left and right and left[-1][0] == right[0][0]:\n"
+        "            return word(left + right)\n"
+        "        i, j = len(left), 0",
+        ("tests/test_braid.py::test_products_merge_only_at_the_seam",),
     ),
     # braid_from_slopes: the twist carried from block to block
     Mutant(

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzing import random_subgroup_word
+from tunnel_slopes import braid
 from tunnel_slopes import BraidWord, DomainError, ParseError, format_word, parse_word, reverse_word
 from tunnel_slopes.braid import (
     SIZE_LIMIT,
@@ -334,3 +335,55 @@ def test_braid_word_multiplication_and_truthiness():
     assert bool(word([])) is False
     assert bool(left) is True
     assert isinstance(left * right, BraidWord)
+
+
+def _random_canonical(rng, length, first_not=()):
+    """A seeded canonical word whose first letter's name is none of first_not."""
+    letters: list[Letter] = []
+    while len(letters) < length:
+        last = letters[-1][0] if letters else None
+        names = [n for n in ("m", "l", "s") if n != last and (letters or n not in first_not)]
+        letters.append((rng.choice(names), rng.choice((-3, -2, -1, 1, 2, 3))))
+    return BraidWord(tuple(letters))
+
+
+def _inverse(letters):
+    return tuple((name, -exponent) for name, exponent in reversed(letters))
+
+
+def test_products_merge_only_at_the_seam(monkeypatch):
+    """A product merges its seam letters itself, with no call to word."""
+    rng = random.Random(25)
+    a = _random_canonical(rng, 300).letters
+    (before, _), (name, exponent) = a[-2:]
+    k = 120  # the cascade's length
+    rights = {  # right letters, and the letters the product loses
+        "merge": (((name, exponent),) + _random_canonical(rng, 200, (name,)).letters, 1),
+        "cancel one": (
+            ((name, -exponent),) + _random_canonical(rng, 200, (name, before)).letters,
+            2,
+        ),
+        "cascade": (
+            _inverse(a[-k:]) + _random_canonical(rng, 200, (a[-k][0], a[-k - 1][0])).letters,
+            2 * k,
+        ),
+        "empties the left": (
+            _inverse(a) + _random_canonical(rng, 200, (a[0][0],)).letters,
+            2 * len(a),
+        ),
+        "empties the right": (_inverse(a[-k:]), 2 * k),
+    }
+    left = BraidWord(a)
+    pairs = {case: (left, BraidWord(b)) for case, (b, _) in rights.items()}
+    pairs["empties both"] = (left, BraidWord(_inverse(a)))
+    expected = {case: word(x.letters + y.letters) for case, (x, y) in pairs.items()}
+    for case, (b, lost) in rights.items():
+        assert len(expected[case].letters) == len(a) + len(b) - lost, case
+    assert expected["empties both"] == BraidWord()
+    calls = []
+    original = braid.word
+    monkeypatch.setattr(braid, "word", lambda letters: calls.append(1) or original(letters))
+    products = {case: x * y for case, (x, y) in pairs.items()}
+    monkeypatch.undo()
+    assert calls == []
+    assert products == expected

@@ -327,8 +327,9 @@ def _word_pairs(draw):
 
     Besides two independent words: either word empty; a right word whose
     first letter merges with the left word's last without cancelling it; and
-    a right word that starts with the inverse of the left word's last one to
-    three letters, so that cancellation cascades across the seam.
+    a right word that starts with the inverse of any suffix of the left word,
+    the whole word included, and may end there, so that cancellation
+    cascades across the seam and may empty either word.
     """
     left, right = draw(_canonical_words()), draw(_canonical_words())
     shape = draw(st.sampled_from(("any", "empty", "merge", "cancel")))
@@ -340,9 +341,9 @@ def _word_pairs(draw):
         name, exponent = left.letters[-1]
         start = ((name, draw(st.integers(-6, 6).filter(lambda e: e and e != -exponent))),)
     else:
-        cancelled = left.letters[-draw(st.integers(1, min(3, len(left.letters)))) :]
+        cancelled = left.letters[-draw(st.integers(1, len(left.letters))) :]
         start = tuple((name, -exponent) for name, exponent in reversed(cancelled))
-    rest = right.letters
+    rest = right.letters if shape == "merge" or draw(st.booleans()) else ()
     if rest and rest[0][0] == start[-1][0]:
         rest = rest[1:]  # the next letter has another name, so right stays canonical
     return left, BraidWord(start + rest)
