@@ -45,7 +45,6 @@ from .exact_arith import (
     _expand_odd,
     cf_eval,
     expand_all_even,
-    expand_odd_numerator,
     mod_inverse,
 )
 from .slope_engine import SlopeSequence
@@ -149,10 +148,12 @@ def two_bridge_tunnels(a: int, b: int) -> TwoBridgeReport:
     if max(_semisimple_segments(a, b), _semisimple_segments(a, dual)) > SIZE_LIMIT:
         raise DomainError(_TOO_MANY_SEGMENTS)
     entries = expand_all_even(a, b)
+    # TwoBridge checked a odd and 0 < b < a coprime to a, so the simple
+    # classes [b'/a] and [b/a] are reduced, nonintegral, of odd denominator
     return TwoBridgeReport(
-        upper_simple=SlopeSequence(SimpleSlope(dual, a)),
+        upper_simple=SlopeSequence._of_valid(SimpleSlope._of_coprime(dual, a), ()),
         upper_semisimple=_semisimple_walk(entries),
-        lower_simple=SlopeSequence(SimpleSlope(b, a)),
+        lower_simple=SlopeSequence._of_valid(SimpleSlope._of_coprime(b, a), ()),
         lower_semisimple=_semisimple_walk([-x for x in reversed(entries)]),
     )
 
@@ -180,7 +181,7 @@ def upper_semisimple_word(a: int, b: int) -> BraidWord:
     reverse of braid_from_slopes's spelling, and closes with a single dl^-1.
     """
     TwoBridge(a, b)
-    spelled = _reversed(_even_odd_letters(expand_odd_numerator(Fraction(a, b))))
+    spelled = _reversed(_even_odd_letters(_expand_odd(a, b)))  # a odd, b > 0
     return word(spelled + (("l", -1),))
 
 
@@ -204,6 +205,10 @@ def semisimple_slopes_closed_form(a: int, b: int) -> SlopeSequence:
     return _semisimple_walk(expand_all_even(a, b))
 
 
+# The slope -unit of a walk's runs, for unit +1 and -1: shared, not built per step.
+_RUN_SLOPE = {1: Fraction(-1), -1: Fraction(1)}
+
+
 def _semisimple_walk(entries: Sequence[int]) -> SlopeSequence:
     """The semisimple slope sequence read off an all-even expansion.
 
@@ -217,16 +222,24 @@ def _semisimple_walk(entries: Sequence[int]) -> SlopeSequence:
     """
     unit = 1 if entries[-2] > 0 else -1
     landing = entries[-1]
-    # n / (2n + 1) with n = landing + (unit - 1) / 2, which is coprime
+    # n / (2n + 1) with n = landing + (unit - 1) / 2, which is coprime; the
+    # landing is even and nonzero, so n is neither 0 nor -1 and the class is
+    # no integer, and 2n + 1 is odd
     first = SimpleSlope._of_coprime(landing + (unit - 1) // 2, 2 * landing + unit)
-    rest = [Fraction(-unit)] * (abs(entries[-2]) // 2 - 1)
+    rest: list[Fraction] = []
+    run = abs(entries[-2]) // 2 - 1
+    if run:
+        rest += [_RUN_SLOPE[unit]] * run
     for i in range(len(entries) - 4, -1, -2):
         prev, unit = unit, 1 if entries[i] > 0 else -1
         k = entries[i + 1] + (unit + prev) // 2
         assert k != 0
         rest.append(_coprime(1 - 2 * prev * k, k))  # gcd(1 - 2 prev k, k) = gcd(1, k)
-        rest.extend([Fraction(-unit)] * (abs(entries[i]) // 2 - 1))
-    return SlopeSequence(first, tuple(rest))
+        run = abs(entries[i]) // 2 - 1
+        if run:
+            rest += [_RUN_SLOPE[unit]] * run
+    # every later slope, 1 - 2 prev k over k or a run's +-1, has odd numerator
+    return SlopeSequence._of_valid(first, tuple(rest))
 
 
 def find_two_bridge(
@@ -342,8 +355,9 @@ def torus_upper_slopes(p: int, q: int) -> SlopeSequence:
     _check_torus(p, q)
     sign = -1 if (p < 0) != (q < 0) else 1
     chain = [sign * (2 * h - 1) for h in staircase(abs(p), abs(q))[:-1] if h > 1]
-    first = SimpleSlope.from_fraction(Fraction(1, chain[0]))
-    return SlopeSequence(first, tuple(Fraction(n) for n in chain[1:]))
+    # the chain entries are odd, and |n0| >= 3, so [1/n0] is no integer
+    first = SimpleSlope._of_coprime(1, chain[0])
+    return SlopeSequence._of_valid(first, tuple([_coprime(n, 1) for n in chain[1:]]))
 
 
 def torus_lower_slopes(p: int, q: int) -> SlopeSequence:

@@ -49,6 +49,11 @@ class SlopeSequence(_Value):
     is None) belongs to the trivial knot; a nonempty sequence has a
     nonintegral first slope with odd denominator and later slopes with odd
     numerator.
+
+    The public constructor checks all of that.  ``_of_valid`` skips the
+    checks and the copy, for the library's own sequences: only for a first
+    slope and a tuple of Fractions that are valid by construction, as above,
+    and the caller says why at the call site.
     """
 
     __slots__ = ("first", "rest")
@@ -70,6 +75,14 @@ class SlopeSequence(_Value):
                     raise DomainError(f"slope {x} has even numerator")
         object.__setattr__(self, "first", first)
         object.__setattr__(self, "rest", rest)
+
+    @classmethod
+    def _of_valid(cls, first: SimpleSlope, rest: tuple[Fraction, ...]) -> "SlopeSequence":
+        """The sequence [first], *rest, valid by construction, with no checks."""
+        seq = object.__new__(cls)
+        object.__setattr__(seq, "first", first)
+        object.__setattr__(seq, "rest", rest)
+        return seq
 
     def __bool__(self) -> bool:
         return self.first is not None
@@ -188,9 +201,12 @@ def upper_slopes(w: BraidWord) -> SlopeSequence:
         bottom += 1
     if bottom == len(slopes):
         return SlopeSequence()
-    # every pair is a coprime column (a, b) untwisted to (a + 2tb, b)
+    # every pair is a coprime column (a, b) untwisted to (a + 2tb, b), and a
+    # is odd, since s and dl keep the column (1, 0)'s first entry odd; the
+    # bottom pop left |p| != 1, so the first slope q/p is no integer
     (p, q), *rest = slopes[bottom:]
-    return SlopeSequence(SimpleSlope._of_coprime(q, p), tuple(_coprime(p, q) for p, q in rest))
+    first = SimpleSlope._of_coprime(q, p)
+    return SlopeSequence._of_valid(first, tuple([_coprime(p, q) for p, q in rest]))
 
 
 def lower_slopes(w: BraidWord) -> SlopeSequence:

@@ -95,6 +95,14 @@ def random_valid_slopes(rng: Random, max_d: int = 5, bound: int = 99) -> SlopeSe
     return SlopeSequence(SimpleSlope(p, q), rest)
 
 
+def random_word(rng: Random) -> BraidWord:
+    """A word of up to 16 runs drawn from rng, in dm, dl and s with exponents within 4."""
+    return word(
+        (rng.choice("mls"), rng.choice((-4, -3, -2, -1, 1, 2, 3, 4)))
+        for _ in range(rng.randint(0, 16))
+    )
+
+
 def random_subgroup_word(seed: int, gens: Sequence[str], length: int) -> BraidWord:
     """A seed-determined word of the given run length in the given generators."""
     rng = Random(seed)

@@ -55,6 +55,10 @@ SPELLING_ORACLE = (
     "tests/test_oracles.py::test_braid_from_slopes_matches_oracle_on_lower_sequences",
     "tests/test_oracles.py::test_braid_from_slopes_matches_oracle_on_deep_sequences",
 )
+# The Tier-1 digest of the torus corpus (tests/digests.py): the two rows that
+# name it alone were found by running candidate mutants against the rest of
+# Tier-1, which they pass.
+DIGEST_TORUS = "tests/test_digests.py::test_answers_match_the_recorded_digest[torus]"
 
 ROWS = (
     # the letter kernel: word
@@ -277,6 +281,43 @@ ROWS = (
         expect="survives",
         reason="expand_all_even asks at odd over even or even over odd, never an odd "
         "integer, so _nearest_even never meets a tie",
+    ),
+    # sequences built by construction, with no checks
+    Mutant(
+        "the walk appends the run slope with the wrong sign",
+        FAMILIES,
+        "_RUN_SLOPE = {1: Fraction(-1), -1: Fraction(1)}",
+        "_RUN_SLOPE = {1: Fraction(1), -1: Fraction(-1)}",
+        ("tests/test_knot_families.py::test_two_bridge_tunnels_golden_report",),
+    ),
+    Mutant(
+        "the walk's step slope gets an even numerator",
+        FAMILIES,
+        "rest.append(_coprime(1 - 2 * prev * k, k))",
+        "rest.append(_coprime(2 - 2 * prev * k, k))",
+        ("tests/test_values.py::test_closed_forms_build_valid_sequences",),
+    ),
+    Mutant(
+        "parse_slopes builds through _of_valid",
+        ENGINE,
+        "    return SlopeSequence(SimpleSlope.from_fraction(values[0]), tuple(values[1:]))",
+        "    return SlopeSequence._of_valid(SimpleSlope.from_fraction(values[0]), tuple(values[1:]))",
+        ("tests/test_slope_engine.py::test_parse_slopes_errors",),
+    ),
+    # answers that only the digest corpora reach: mixed-sign torus knots
+    Mutant(
+        "torus_upper_slopes keeps the chain positive for negative p and positive q",
+        FAMILIES,
+        "sign = -1 if (p < 0) != (q < 0) else 1",
+        "sign = -1 if q < 0 < p else 1",
+        (DIGEST_TORUS,),
+    ),
+    Mutant(
+        "torus_braid_word drops the last block of a mixed-sign staircase",
+        FAMILIES,
+        "        for k in range(p):\n",
+        "        for k in range(p - 1):\n",
+        (DIGEST_TORUS,),
     ),
     # the recognizer
     Mutant(

@@ -44,7 +44,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import matrix_cf_value
-from fuzzing import apply_fuzz, random_fuzz_plan, random_valid_slopes
+from fuzzing import apply_fuzz, random_fuzz_plan, random_valid_slopes, random_word
 
 from tunnel_slopes import (
     DomainError,
@@ -158,23 +158,16 @@ def _assert_same_as_oracles(w):
     assert peephole(w).letters == oracle_peephole(w).letters, w
 
 
-def _random_word(rng):
-    return word(
-        (rng.choice("mls"), rng.choice((-4, -3, -2, -1, 1, 2, 3, 4)))
-        for _ in range(rng.randint(0, 16))
-    )
-
-
 def test_random_words_match_oracles():
     rng = Random(20100630)
     for _ in range(6000):
-        _assert_same_as_oracles(_random_word(rng))
+        _assert_same_as_oracles(random_word(rng))
 
 
 def test_relator_fuzzed_words_match_oracles():
     rng = Random(5232)
     for seed in range(800):
-        w = _random_word(rng)
+        w = random_word(rng)
         fuzzed = apply_fuzz(w, random_fuzz_plan(seed, w, count=rng.randint(1, 6)))
         _assert_same_as_oracles(fuzzed)
         _assert_same_as_oracles(reverse_word(fuzzed))
@@ -469,13 +462,13 @@ def _assert_engine_matches_oracle(w):
 def test_upper_slopes_matches_oracle_on_random_words():
     rng = Random(1802)
     for _ in range(10_000):
-        _assert_engine_matches_oracle(_random_word(rng))
+        _assert_engine_matches_oracle(random_word(rng))
 
 
 def test_upper_slopes_matches_oracle_on_relator_fuzzed_words():
     rng = Random(1803)
     for seed in range(800):
-        w = _random_word(rng)
+        w = random_word(rng)
         plan = random_fuzz_plan(seed, w, count=rng.randint(1, 6))
         _assert_engine_matches_oracle(apply_fuzz(w, plan))
 

@@ -78,6 +78,13 @@ def test_parse_slopes_errors():
         parse_slopes("a 25")
     with pytest.raises(DomainError, match="zero denominator"):
         parse_slopes("21 0")
+    # the checks of the public SlopeSequence constructor
+    with pytest.raises(DomainError, match="never integral"):
+        parse_slopes("3 1 7 2")
+    with pytest.raises(DomainError, match="odd denominator"):
+        parse_slopes("1 4")
+    with pytest.raises(DomainError, match="slope 4/3 has even numerator"):
+        parse_slopes("21 25 7 2 4 3")
 
 
 @pytest.mark.skipif(

@@ -2,17 +2,20 @@
 
 Every value class compares field by field against its own class only, hashes
 its fields, refuses assignment, prints as Name(field=value, ...), and
-survives copy and pickle round trips.
+survives copy and pickle round trips.  The sequences the library builds
+with no checks must equal what the checked constructors build.
 """
 
 import copy
+import math
 import pickle
 from fractions import Fraction
+from random import Random
 
 import pytest
 
 from conftest import Mat2
-from fuzzing import FuzzPlan
+from fuzzing import FuzzPlan, random_valid_slopes, random_word
 from tunnel_slopes import (
     BraidWord,
     DomainError,
@@ -21,7 +24,11 @@ from tunnel_slopes import (
     SlopeSequence,
     TwoBridge,
     TwoBridgeReport,
+    braid_from_slopes,
+    lower_slopes,
+    torus_upper_slopes,
     two_bridge_tunnels,
+    upper_slopes,
 )
 
 REPORT = two_bridge_tunnels(7, 3)
@@ -172,6 +179,50 @@ def test_slope_sequence_keeps_its_later_slopes_as_a_tuple():
     assert from_list == from_tuple
     rest = from_tuple.rest
     assert SlopeSequence(SimpleSlope(3, 7), rest).rest is rest
+
+
+def _assert_valid_as_built(seq):
+    """The sequence is what the public constructors build from its values."""
+    assert type(seq.rest) is tuple
+    assert SlopeSequence(seq.first, seq.rest) == seq
+    if seq:
+        assert SimpleSlope(seq.first.p, seq.first.q) == seq.first
+    for x in seq.rest:
+        assert type(x) is Fraction and x.numerator % 2 == 1
+        assert Fraction(x.numerator, x.denominator) == x
+
+
+# The closed forms, torus_upper_slopes and the engine build their sequences
+# with SlopeSequence._of_valid, which checks nothing: each value must still
+# pass the public constructor's checks and equal what it builds.
+def test_closed_forms_build_valid_sequences():
+    for a in range(3, 402, 2):
+        for b in range(1, a):
+            if math.gcd(a, b) == 1:
+                report = two_bridge_tunnels(a, b)
+                _assert_valid_as_built(report.upper_simple)
+                _assert_valid_as_built(report.upper_semisimple)
+                _assert_valid_as_built(report.lower_simple)
+                _assert_valid_as_built(report.lower_semisimple)
+
+
+def test_torus_upper_slopes_build_valid_sequences():
+    params = [n for n in range(-64, 65) if abs(n) >= 2]
+    for p in params:
+        for q in params:
+            if math.gcd(p, q) == 1:
+                _assert_valid_as_built(torus_upper_slopes(p, q))
+
+
+def test_the_engine_builds_valid_sequences():
+    rng = Random(2026)
+    for i in range(2000):
+        if i % 2:
+            w = braid_from_slopes(random_valid_slopes(rng, max_d=8))
+        else:
+            w = random_word(rng)
+        _assert_valid_as_built(upper_slopes(w))
+        _assert_valid_as_built(lower_slopes(w))
 
 
 @pytest.mark.parametrize(
