@@ -3,7 +3,12 @@
 import contextlib
 import io
 import resource
+import shlex
+import subprocess
+import sys
 from fractions import Fraction
+from itertools import takewhile
+from pathlib import Path
 
 from tunnel_slopes import DomainError
 from tunnel_slopes.cli import main
@@ -77,6 +82,22 @@ def run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def readme_transcripts():
+    """Every `$ tunnel-slopes ...` line of README.md: (argv, expected stdout).
+
+    The expected stdout is the lines after the command, up to the next blank
+    line or code fence.
+    """
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    lines = readme.read_text(encoding="utf-8").splitlines()
+    transcripts = []
+    for i, line in enumerate(lines):
+        if line.startswith("$ tunnel-slopes "):
+            shown = takewhile(lambda out: out and not out.startswith("```"), lines[i + 1 :])
+            transcripts.append((shlex.split(line)[2:], "".join(out + "\n" for out in shown)))
+    return transcripts
+
+
 def cap_address_space():
     """Limit a child to 600 MB of address space, so a runaway fails fast."""
     cap = 600 * 2**20
@@ -84,3 +105,14 @@ def cap_address_space():
     if hard != resource.RLIM_INFINITY:
         cap = min(cap, hard)
     resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+
+
+def run_capped(args):
+    """Run `python <args>` in a child under the 600 MB cap and a 20 s timeout."""
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        timeout=20,
+        preexec_fn=cap_address_space,
+    )

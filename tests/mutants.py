@@ -7,9 +7,9 @@ Run from the repository root:
 A row names a file, an exact text in it, the text that replaces it, the test
 node ids to run, and the outcome expected: "killed" (the tests fail) or
 "survives" (they pass, for the reason the row gives).  Each row runs on a
-fresh temporary copy of src/ and tests/ with PYTHONPATH=src.  The old text
-must occur exactly once in the file, or the row fails as stale; a row whose
-anchor moves is updated with the code it anchors.  The listed nodes are first
+fresh temporary copy of src/, tests/, demos/ and README.md with
+PYTHONPATH=src.  The old text must occur exactly once in the file, or the row
+fails as stale; a row whose anchor moves is updated with the code it anchors.  The listed nodes are first
 run once on an unchanged copy, where every one must pass.  The script exits 0
 when every row has its expected outcome.  pytest does not collect it: the
 file name has no test_ prefix and it defines no test functions.
@@ -27,7 +27,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
-COPIED = ("src", "tests")
+COPIED = ("src", "tests", "demos")
+COPIED_FILES = ("pyproject.toml", "README.md")
 IGNORED = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
 
 
@@ -59,6 +60,9 @@ SPELLING_ORACLE = (
 # name it alone were found by running candidate mutants against the rest of
 # Tier-1, which they pass.
 DIGEST_TORUS = "tests/test_digests.py::test_answers_match_the_recorded_digest[torus]"
+README_UPPER = (
+    "tests/test_cli.py::test_readme_transcript[upperSlopes m 3 s -2 l 3 s -4 m -1 s -4 l 3]"
+)
 
 ROWS = (
     # the letter kernel: word
@@ -319,6 +323,14 @@ ROWS = (
         "        for k in range(p - 1):\n",
         (DIGEST_TORUS,),
     ),
+    # the text form, as the README shows it
+    Mutant(
+        "format_slopes joins with a bare comma",
+        ENGINE,
+        'return ", ".join([str(seq.first)]',
+        'return ",".join([str(seq.first)]',
+        (README_UPPER,),
+    ),
     # the recognizer
     Mutant(
         "find_two_bridge flips its unit after odd k",
@@ -333,7 +345,8 @@ ROWS = (
 def _copy(into: Path) -> None:
     for name in COPIED:
         shutil.copytree(ROOT / name, into / name, ignore=IGNORED)
-    shutil.copy(ROOT / "pyproject.toml", into / "pyproject.toml")
+    for name in COPIED_FILES:
+        shutil.copy(ROOT / name, into / name)
 
 
 def _pytest(where: Path, nodes: tuple[str, ...]) -> int:

@@ -8,115 +8,25 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import cap_address_space, run_cli
+from conftest import cap_address_space, readme_transcripts, run_capped, run_cli
 from tunnel_slopes import SimpleSlope, SlopeSequence, format_slopes
 from tunnel_slopes import cli
 
 MAIN_WORD = ["m", "3", "s", "-2", "l", "3", "s", "-4", "m", "-1", "s", "-4", "l", "3"]
-MAIN_UPPER = ["21", "25", "341", "60", "-13", "1", "-13", "1"]
-MAIN_LOWER = ["16", "19", "-7", "1", "-7", "1", "-195", "31", "-5", "1", "-5", "1"]
 
 
-def test_upper_slopes_command():
-    code, out, err = run_cli(["upperSlopes", *MAIN_WORD])
-    assert (code, err) == (0, "")
-    assert out == "[ 21/25 ], 341/60, -13, -13\n"
+README_TRANSCRIPTS = readme_transcripts()
 
 
-def test_lower_slopes_command():
-    code, out, err = run_cli(["lowerSlopes", *MAIN_WORD])
-    assert (code, err) == (0, "")
-    assert out == "[ 16/19 ], -7, -7, -195/31, -5, -5\n"
+def test_the_readme_shows_twelve_transcripts():
+    assert len(README_TRANSCRIPTS) == 12
 
 
-def test_braid_word_command_round_trips():
-    code, out, err = run_cli(["braidWord", *MAIN_UPPER])
-    assert (code, err) == (0, "")
-    rebuilt_code, rebuilt_out, _ = run_cli(["upperSlopes", *out.split()])
-    assert rebuilt_code == 0
-    assert rebuilt_out == "[ 21/25 ], 341/60, -13, -13\n"
-
-
-def test_dual_slopes_command_both_directions():
-    code, out, _ = run_cli(["dualSlopes", *MAIN_UPPER])
-    assert code == 0
-    assert out == "[ 16/19 ], -7, -7, -195/31, -5, -5\n"
-    code, out, _ = run_cli(["dualSlopes", *MAIN_LOWER])
-    assert code == 0
-    assert out == "[ 21/25 ], 341/60, -13, -13\n"
-
-
-def test_two_bridge_command_golden_transcript():
-    code, out, err = run_cli(["twoBridge", "413", "227"])
-    assert (code, err) == (0, "")
-    assert out == (
-        "Upper simple tunnel:     [ 131/413 ]\n"
-        "Upper semisimple tunnel: [ 1/3 ], 15/7, 9/5\n"
-        "Lower simple tunnel:     [ 227/413 ]\n"
-        "Lower semisimple tunnel: [ 2/5 ], -1, -3/2, 1, 1, 1, 3\n"
-    )
-
-
-def test_semisimple_word_commands():
-    code, out, _ = run_cli(["upperSemisimpleBraidWord", "413", "227"])
-    assert code == 0
-    assert out == "m -1 s -6 m -1 s 6 m -1 s 1 l -1\n"
-    code, out, _ = run_cli(["lowerSimpleBraidWord", "413", "227"])
-    assert code == 0
-    assert out == "m -1 s 1 l -1 s 6 l -1 s -6 l -1\n"
-
-
-def test_torus_commands_golden_trio():
-    code, out, _ = run_cli(["torusUpperSlopes", "13", "5"])
-    assert code == 0 and out == "[ 1/5 ], 11, 15, 21\n"
-    code, out, _ = run_cli(["torusLowerSlopes", "13", "5"])
-    assert code == 0 and out == "[ 1/3 ], 3, 3, 5, 5, 7, 7, 7, 9, 9\n"
-    code, out, _ = run_cli(["fullTorusBraidWord", "13", "5"])
-    assert code == 0 and out == "l -2 m 1 l -3 m 1 l -2 m 1 l -3 m 1 l -3 m 1\n"
-
-
-def test_find_two_bridge_success_sentence():
-    code, out, _ = run_cli(["find2BridgeKnot", "1", "3", "15", "7", "9", "5"])
-    assert code == 0
-    assert out == (
-        "The tunnel is the upper semisimple tunnel of K( 413, 227 ), "
-        "or equivalently the lower semisimple tunnel of K( 413, 131 ).\n"
-    )
-    code, out, _ = run_cli(["find2BridgeKnot", "1", "3", "15", "8", "-9", "5"])
-    assert code == 0
-    assert out == (
-        "The tunnel is the upper semisimple tunnel of K( 493, 222 ), "
-        "or equivalently the lower semisimple tunnel of K( 493, 171 ).\n"
-    )
-
-
-def test_find_two_bridge_rejection_sentences():
-    code, out, _ = run_cli(["find2BridgeKnot", "1", "3", "15", "11", "9", "5"])
-    assert code == 0
-    assert out == "Slopes other than first must be of the form 2 + 1/k or 2 - 1/k.\n"
-    code, out, _ = run_cli(["find2BridgeKnot", "1", "3", "15", "8", "9", "5"])
-    assert code == 0
-    assert out == (
-        "The ith and (i+1)st slopes must have opposite signs when k sub i is even.\n"
-    )
-    code, out, _ = run_cli(["find2BridgeKnot", "1", "3", "-15", "8", "9", "5"])
-    assert code == 0
-    assert out == "m1 must be positive or negative according as n0 is odd or even.\n"
-    code, out, _ = run_cli(["find2BridgeKnot", "2", "7", "3", "1"])
-    assert code == 0
-    assert out == "m0 must be of the form [ n0/(2n0+1) ] with n0 not in {-1,0}.\n"
-
-
-def test_reverse_braid_command():
-    code, out, _ = run_cli(["reverseBraid", "m", "1", "s", "4", "l", "-1"])
-    assert code == 0
-    assert out == "m -1 s 4 l 1\n"
-
-
-def test_trivial_knot_text():
-    code, out, _ = run_cli(["upperSlopes", "l", "5", "s", "2"])
-    assert code == 0
-    assert out == "trivial knot (empty slope sequence)\n"
+@pytest.mark.parametrize(
+    "argv, stdout", README_TRANSCRIPTS, ids=[" ".join(argv) for argv, _ in README_TRANSCRIPTS]
+)
+def test_readme_transcript(argv, stdout):
+    assert run_cli(argv) == (0, stdout, "")
 
 
 def test_json_slopes_and_word():
@@ -146,9 +56,6 @@ def test_json_two_bridge_and_recognizer():
         "numerators": [1, 15, 9],
         "denominators": [3, 7, 5],
     }
-    code, out, _ = run_cli(["find2BridgeKnot", "--json", "1", "3", "15", "7", "9", "5"])
-    assert code == 0
-    assert json.loads(out) == {"matched": True, "a": 413, "b": 227, "dual_b": 131}
     code, out, _ = run_cli(["find2BridgeKnot", "--json", "2", "7", "3", "1"])
     assert code == 0
     payload = json.loads(out)
@@ -188,17 +95,6 @@ def test_domain_error_exits_one():
         assert "Traceback" not in err
 
 
-def _run_capped(argv):
-    """Run the command line in a child under the 600 MB cap and a 20 s timeout."""
-    return subprocess.run(
-        [sys.executable, "-m", "tunnel_slopes", *argv],
-        capture_output=True,
-        text=True,
-        timeout=20,
-        preexec_fn=cap_address_space,
-    )
-
-
 _SEGMENTS_OVER = "the word has more than 65536 segments (the size limit)"
 _TORUS_OVER = "torus parameters need |p| and |q| at most 65536 (the size limit)"
 
@@ -209,21 +105,32 @@ _TORUS_OVER = "torus parameters need |p| and |q| at most 65536 (the size limit)"
         (["twoBridge", "7" * 300, "2"], _SEGMENTS_OVER),
         # the smallest b = 2 case over the limit: dm^-65537 s^-2 dl^-1
         (["twoBridge", str(4 * 65536 + 3), "2"], _SEGMENTS_OVER),
+        # 65,536 closed-form slopes, but a word of 65,537 segments
+        (["twoBridge", "524277", "4"], _SEGMENTS_OVER),
+        (["twoBridge", "1000000007", "1"], _SEGMENTS_OVER),
         (["upperSlopes", "m", "-" + "9" * 50, "s", "1", "l", "1"], _SEGMENTS_OVER),
         (["torusUpperSlopes", "3", "1000000001"], _TORUS_OVER),
         (["fullTorusBraidWord", "3", "1000000001"], _TORUS_OVER),
     ],
-    ids=["twoBridge", "twoBridgeAtLimit", "upperSlopes", "torusUpperSlopes", "fullTorusBraidWord"],
+    ids=[
+        "twoBridge",
+        "twoBridgeAtLimit",
+        "twoBridgeSlopesAtLimit",
+        "twoBridgeFarOver",
+        "upperSlopes",
+        "torusUpperSlopes",
+        "fullTorusBraidWord",
+    ],
 )
 def test_input_over_the_size_limit_exits_one(argv, message):
-    proc = _run_capped(argv)
+    proc = run_capped(["-m", "tunnel_slopes", *argv])
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr == f"error: {message}\n"
 
 
 def test_two_bridge_at_the_size_limit_runs_at_once():
     # the upper semisimple word dm^-65536 s^2 dl^-1 has exactly 65536 segments
-    proc = _run_capped(["twoBridge", str(4 * 65536 + 1), "2"])
+    proc = run_capped(["-m", "tunnel_slopes", "twoBridge", str(4 * 65536 + 1), "2"])
     assert (proc.returncode, proc.stderr) == (0, "")
     lines = proc.stdout.splitlines()
     assert len(lines) == 4
@@ -269,7 +176,7 @@ _AT_THE_LIMIT = [
     ],
 )
 def test_input_at_the_limit_runs_at_once(argv, start):
-    proc = _run_capped(argv)
+    proc = run_capped(["-m", "tunnel_slopes", *argv])
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.startswith(start)
 
@@ -298,7 +205,7 @@ _ENGINE_AT_SCALE = [
     ids=["upperSlopesIntegral", "lowerSlopesIntegral", "upperSlopesLongExponents"],
 )
 def test_reduction_at_scale_runs_at_once(argv, code, out, err):
-    proc = _run_capped(argv)
+    proc = run_capped(["-m", "tunnel_slopes", *argv])
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
 
 
@@ -385,13 +292,9 @@ def test_help_lists_every_command_and_its_parameters():
 
 
 def test_module_entry_point_runs_in_subprocess():
-    proc = subprocess.run(
-        [sys.executable, "-m", "tunnel_slopes", "upperSlopes", *MAIN_WORD],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0
-    assert proc.stdout == "[ 21/25 ], 341/60, -13, -13\n"
+    argv, stdout = README_TRANSCRIPTS[0]
+    proc = run_capped(["-m", "tunnel_slopes", *argv])
+    assert (proc.returncode, proc.stdout) == (0, stdout)
 
 
 # A plain run imports neither argparse nor typing, nor the dataclass machinery
@@ -417,9 +320,7 @@ finally:
 
 
 def _footprint(argv):
-    return subprocess.run(
-        [sys.executable, "-c", _FOOTPRINT_SCRIPT, *argv], capture_output=True, text=True
-    )
+    return run_capped(["-c", _FOOTPRINT_SCRIPT, *argv])
 
 
 def test_help_and_usage_errors_import_no_argparse():
@@ -521,12 +422,33 @@ _TWO_BRIDGE_413_227_JSON = json.dumps(
 ) + "\n"
 _EMPTY_JSON = '{"numerators": [], "denominators": []}\n'
 _TRIVIAL = "trivial knot (empty slope sequence)\n"
+_CASCADE = "m 2 s 3 l 1 l -1 s -3 m 1 s 1 l 1".split()
 
-# Command lines at the edges of the grammar: (argv, exit code, stdout when
-# the exit is 0).  A help line pins only its usage line; the help test reads
-# the rest.  Six lines read differently from the argparse-based parser that
-# this one replaced; each is marked "Was".
+# Command lines the README does not show, most at the edges of the grammar:
+# (argv, exit code, stdout when the exit is 0).  A help line pins only its
+# usage line; the help test reads the rest.  Six lines read differently from
+# the argparse-based parser that this one replaced; each is marked "Was".
 _EDGE_ARGV = [
+    (["upperSlopes", "l", "5", "s", "2"], 0, _TRIVIAL),
+    # the README's braidWord transcript, read back
+    (
+        ["upperSlopes", *"m 1 s 1 m -1 s 1 l 1 m 1 s -2 l 3 s -3 m 1 s -3 l 2 s -1 l -1".split()],
+        0,
+        "[ 21/25 ], 341/60, -13, -13\n",
+    ),
+    (["upperSlopes", "m", "-200", "s", "1", "l", "1"], 0, _TRIVIAL),
+    (["upperSlopes", "m", "-400", "s", "1", "l", "1"], 0, _TRIVIAL),
+    (["reverseBraid", "m", "1", "s", "4", "l", "-1"], 0, "m -1 s 4 l 1\n"),
+    # a canonical word's letters are reversed without merging them again
+    (["reverseBraid", *MAIN_WORD], 0, "m 3 s -4 l -1 s -4 m 3 s -2 l 3\n"),
+    # a cancellation cascade: l and then s cancel, exposing m 2, which m 1 merges into
+    (["reverseBraid", *_CASCADE], 0, "m 1 s 1 l 3\n"),
+    (["upperSlopes", *_CASCADE], 0, _TRIVIAL),
+    (
+        ["find2BridgeKnot", "2", "7", "3", "1"],
+        0,
+        "m0 must be of the form [ n0/(2n0+1) ] with n0 not in {-1,0}.\n",
+    ),
     (["upperSlopes", "--json", "m", "1"], 0, _EMPTY_JSON),
     (["upperSlopes", "m", "1", "--json"], 0, _EMPTY_JSON),
     (["upperSlopes", "--json", "--json", "m", "1", "--json"], 0, _EMPTY_JSON),

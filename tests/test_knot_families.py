@@ -1,14 +1,12 @@
 """Closed forms and recognizers for the two-bridge and torus families."""
 
 import math
-import subprocess
-import sys
 from fractions import Fraction
 from random import Random
 
 import pytest
 
-from conftest import cap_address_space
+from conftest import run_capped
 from tunnel_slopes import (
     DomainError,
     Rejection,
@@ -121,8 +119,8 @@ def test_closed_form_over_the_size_limit_is_refused():
 
 
 def _refusal_in_a_capped_child(a, b):
-    """(exit code, stdout, stderr) of the closed form of K(a, b) in a child
-    limited to 600 MB and 20 s, printing the DomainError it raises."""
+    """(exit code, stdout, stderr) of the closed form of K(a, b) in a capped
+    child, printing the DomainError it raises."""
     code = (
         "from tunnel_slopes import DomainError, semisimple_slopes_closed_form\n"
         "try:\n"
@@ -130,13 +128,7 @@ def _refusal_in_a_capped_child(a, b):
         "except DomainError as exc:\n"
         "    print(exc)\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        timeout=20,
-        preexec_fn=cap_address_space,
-    )
+    proc = run_capped(["-c", code])
     return proc.returncode, proc.stdout, proc.stderr
 
 
