@@ -38,23 +38,17 @@ GENERATORS = ("m", "l", "s")
 
 Letter = tuple[str, int]
 
-# the top name of an empty letter stack: it equals no letter's name
-_NO_TOP = object()
-
 
 class BraidWord(_Value):
     """A canonical word: merged runs, no zero exponents.
 
     The constructor does not check that invariant; `word` builds a
     canonical word from any letters, and every function in this package
-    returns canonical words.  A canonical word may share its letter tuples
-    with the letters it was built from: `word` keeps a letter that merges
-    with nothing as the tuple it was given, and builds a new tuple only for
-    a merged run.  __mul__, reverse_word, double_coset_trim and segment rely
-    on the invariant: they join, reverse, slice or split the letters of
-    canonical words without merging them again where no merge can happen.
-    A product merges only the letters at its seam, and the letters on
-    either side of them are kept as they are.
+    returns canonical words.  __mul__, reverse_word, double_coset_trim and
+    segment rely on the invariant: they join, reverse, slice or split the
+    letters of canonical words without merging them again where no merge
+    can happen.  A product merges only the letters at its seam, and the
+    letters on either side of them are kept as they are.
     """
 
     __slots__ = ("letters",)
@@ -94,30 +88,17 @@ class BraidWord(_Value):
 def word(letters: Iterable[Letter]) -> BraidWord:
     """Build a canonical word, merging adjacent runs of the same generator.
 
-    Cancellation cascades: m 1 s -2 s 2 m -1 collapses to the empty word.
-    A letter that merges with no neighbour is kept as the very tuple it came
-    in as, and a merged run is a new tuple.  A letter of another shape is
-    converted or refused as the unpacking `name, exponent = letter` decides:
-    a two-item list becomes a tuple, and a letter of another length raises
-    ValueError.  An unknown generator name raises DomainError, zero
-    exponent or not.
+    Each letter is _push'ed onto a stack, so cancellation cascades:
+    m 1 s -2 s 2 m -1 collapses to the empty word.  A letter is unpacked as
+    `name, exponent`: a two-item list is taken as a tuple, and a letter of
+    another length raises ValueError.  An unknown generator name raises
+    DomainError, zero exponent or not.
     """
     stack: list[Letter] = []
-    top = _NO_TOP  # the name of stack[-1]
-    for letter in letters:
-        name, exponent = letter
-        if name == top:
-            exponent += stack.pop()[1]
-            if exponent:
-                stack.append((name, exponent))
-            else:
-                top = stack[-1][0] if stack else _NO_TOP
-            continue
+    for name, exponent in letters:
         if name not in GENERATORS:
             raise DomainError(f"unknown generator {name!r}")
-        if exponent:
-            stack.append(letter if type(letter) is tuple else (name, exponent))
-            top = name
+        _push(stack, name, exponent)
     return BraidWord(tuple(stack))
 
 

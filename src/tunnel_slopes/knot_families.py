@@ -324,23 +324,19 @@ def staircase(p: int, q: int) -> tuple[int, ...]:
 def torus_braid_word(p: int, q: int) -> BraidWord:
     """A braid word describing the (p, q) torus knot.
 
-    Each unit step of the staircase of ceil(k p / q) becomes one dm and the
-    riser between consecutive steps becomes a dl run.
+    (-p, -q) gives the word of (p, q), spelled with p > 0.  The staircase is
+    read from its last step down: for q > 0 that of ceil(k p / q), each
+    step spelled as a dl run of minus its rise and one dm; for q < 0 that
+    of ceil(k |q| / p), each step spelled as one dl and a dm run of its rise.
     """
     _check_torus(p, q)
     if p < 0:
         p, q = -p, -q
+    heights = staircase(p, q) if q > 0 else staircase(-q, p)
     letters: list[tuple[str, int]] = []
-    if q > 0:
-        heights = staircase(p, q)
-        for k in range(q - 1, -1, -1):
-            letters.append(("l", heights[k] - heights[k + 1]))
-            letters.append(("m", 1))
-    else:
-        heights = tuple(-((-k * q) // p) for k in range(p + 1))
-        for k in range(p):
-            letters.append(("l", 1))
-            letters.append(("m", heights[k] - heights[k + 1]))
+    for k in range(len(heights) - 2, -1, -1):
+        rise = heights[k + 1] - heights[k]
+        letters += (("l", -rise), ("m", 1)) if q > 0 else (("l", 1), ("m", rise))
     return word(letters)
 
 

@@ -65,20 +65,27 @@ README_UPPER = (
 )
 
 ROWS = (
-    # the letter kernel: word
+    # the letter kernel: _push, which word folds over its letters
     Mutant(
         "word keeps the cancelled name on top",
         BRAID,
-        "                top = stack[-1][0] if stack else _NO_TOP\n",
-        "                pass\n",
+        "    if stack and stack[-1][0] == name:\n",
+        "    if stack and stack[-1][0] == name and stack[-1][1] != -exponent:\n",
         ("tests/test_braid.py::test_word_cancellation_exposes_the_letter_below",),
     ),
     Mutant(
         "word appends a zero-exponent letter",
         BRAID,
-        "        if exponent:\n            stack.append(letter",
-        "        if True:\n            stack.append(letter",
+        "    if exponent:\n        stack.append((name, exponent))",
+        "    if True:\n        stack.append((name, exponent))",
         ("tests/test_braid.py::test_word_drops_zero_exponents",),
+    ),
+    Mutant(
+        "word skips the generator check for a zero exponent",
+        BRAID,
+        "if name not in GENERATORS:\n            raise DomainError",
+        "if exponent and name not in GENERATORS:\n            raise DomainError",
+        ("tests/test_oracles.py::test_word_layer_matches_oracles_on_letter_lists",),
     ),
     # the product: a merge only at the seam
     Mutant(
@@ -319,8 +326,8 @@ ROWS = (
     Mutant(
         "torus_braid_word drops the last block of a mixed-sign staircase",
         FAMILIES,
-        "        for k in range(p):\n",
-        "        for k in range(p - 1):\n",
+        '(("l", 1), ("m", rise))',
+        '(("l", 1), ("m", rise)) if k else ()',
         (DIGEST_TORUS,),
     ),
     # the text form, as the README shows it

@@ -119,12 +119,9 @@ def test_word_refuses_letters_of_the_wrong_length():
         word([("m",)])
 
 
-def test_word_keeps_unmerged_letters_as_given():
+def test_word_merges_a_run_between_unmerged_letters():
     letters = [("m", 2), ("s", 1), ("s", 2), ("l", -1)]
-    w = word(letters)
-    assert w.letters == (("m", 2), ("s", 3), ("l", -1))
-    assert w.letters[0] is letters[0]
-    assert w.letters[2] is letters[3]
+    assert word(letters).letters == (("m", 2), ("s", 3), ("l", -1))
 
 
 def test_parse_format_round_trip():

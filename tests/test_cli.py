@@ -29,14 +29,7 @@ def test_readme_transcript(argv, stdout):
     assert run_cli(argv) == (0, stdout, "")
 
 
-def test_json_slopes_and_word():
-    code, out, _ = run_cli(["upperSlopes", "--json", *MAIN_WORD])
-    assert code == 0
-    payload = json.loads(out)
-    assert payload == {
-        "numerators": [21, 341, -13, -13],
-        "denominators": [25, 60, 1, 1],
-    }
+def test_json_reverse_braid():
     code, out, _ = run_cli(["reverseBraid", "--json", "m", "1", "s", "4", "l", "-1"])
     assert code == 0
     assert json.loads(out) == {"word": "m -1 s 4 l 1"}

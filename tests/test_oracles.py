@@ -22,13 +22,15 @@ match or the same rejection on random sequences near the semisimple ones.
 own, and the recognizer's oracle uses it, so that it runs none of the code
 under test.
 
-The word layer once canonicalized every word it made: `word` as a fold of
-the one-letter merge, and `reverse_word`, `double_coset_trim` and each
-`segment` piece by passing their letters through `word` again.  Its oracles
-keep that code; the production versions reverse, slice and split canonical
-words as they are, and must give the same letters and the same errors.
-The product of two canonical words calls `word` only when the seam letters
-share a name; it must give `oracle_word`'s letters when the seam merges,
+The word layer once canonicalized every word it made: `reverse_word`,
+`double_coset_trim` and each `segment` piece passed their letters through
+`word` again.  Its oracles keep that code, and `oracle_word` merges by
+another algorithm than `word`, a fold of the one-letter merge `_push`: it
+sums the runs of one name in whole passes until a pass changes nothing.
+`word` must give its letters and its errors; the production versions
+reverse, slice and split canonical words as they are, and must give the
+same letters too.  The product of two canonical words merges only its seam
+letters; it must give `oracle_word`'s letters when the seam merges,
 cancels in a cascade, or touches an empty word.  Every word-returning
 public function must return a canonical word.
 """
@@ -36,7 +38,8 @@ public function must return a canonical word.
 import math
 from fractions import Fraction
 from functools import partial
-from itertools import product
+from itertools import groupby, product
+from operator import itemgetter
 from random import Random
 
 import pytest
@@ -67,7 +70,6 @@ from tunnel_slopes.braid import (
     GENERATORS,
     SIZE_LIMIT,
     BraidWord,
-    _push,
     double_coset_trim,
     parse_word,
     segment,
@@ -198,13 +200,25 @@ def test_deep_words_match_oracles(monkeypatch):
 
 
 def oracle_word(letters):
-    """A fold of _push over the letters: each merges into the top of the stack."""
-    stack = []
-    for name, exponent in letters:
+    """Merge in passes until a pass changes nothing.
+
+    Each pass groups adjacent letters by name, sums each run and drops the
+    runs that sum to zero, which may bring two runs of one name together
+    for the next pass.
+    """
+    letters = list(letters)
+    for name, _ in letters:
         if name not in GENERATORS:
             raise DomainError(f"unknown generator {name!r}")
-        _push(stack, name, exponent)
-    return BraidWord(tuple(stack))
+    while True:
+        merged = []
+        for name, run in groupby(letters, key=itemgetter(0)):
+            exponent = sum(e for _, e in run)
+            if exponent:
+                merged.append((name, exponent))
+        if merged == letters:
+            return BraidWord(tuple(merged))
+        letters = merged
 
 
 def oracle_reverse_word(w):
