@@ -245,11 +245,6 @@ def double_coset_trim(w: BraidWord) -> BraidWord:
 _TOO_MANY_SEGMENTS = f"the word has more than {SIZE_LIMIT} segments (the size limit)"
 
 
-def _segment_count(letters: Iterable[Letter]) -> int:
-    """The sum of |k| over the dm^k letters: a trimmed word's segment count."""
-    return sum(abs(k) for name, k in letters if name == "m")
-
-
 def segment(w: BraidWord) -> list[BraidWord] | None:
     """Split a word at its dm letters into subgroup segments.
 
@@ -261,32 +256,46 @@ def segment(w: BraidWord) -> list[BraidWord] | None:
     letter has no piece to close) and opens k - 1 pieces with s^2 and one
     with s.  Returns None when the word trims to nothing (the trivial knot).
 
-    Each piece starts as its s^-1 (so s^-1 s^2 = s, and s^-1 s is empty)
-    and its letters are pushed onto it with _push, so it is built
-    canonical and no piece is canonicalized again.  The trimmed word being
-    canonical, a merge can happen only at a piece's start and at the s
-    that closes it.
-
     Either way dm^+-k makes k pieces; a word that would make more than
-    SIZE_LIMIT raises DomainError before any piece is built.
+    SIZE_LIMIT raises DomainError before any piece is built.  Each piece
+    is a slice of the trimmed letters, canonical as it is, merged only at
+    its opening and closing s (see _split).
     """
     trimmed = double_coset_trim(w)
-    if _segment_count(trimmed.letters) > SIZE_LIMIT:
+    return _split(trimmed.letters) if trimmed else None
+
+
+def _split(letters: tuple[Letter, ...]) -> list[BraidWord]:
+    """The segments of a trimmed canonical word's letters, rightmost first.
+
+    One scan finds the dm letters; the sum of their |k| is the segment
+    count, checked against SIZE_LIMIT before any piece is built.  The
+    letters between two dm letters, or after the last, form one slice of
+    < dl, s > letters.  Its piece is s^-1 (or nothing, after a dm^-k), then
+    the slice, then the closing s when the next dm letter is negative.  The
+    slice is canonical and opens and closes with s or dl, so a merge can
+    happen only at its first letter, with the opening s^-1, and at its last,
+    with the closing s: those two go through _push, which also handles a
+    slice of one letter that both merge into, and the rest of the slice is
+    kept as it is.  The other |k| - 1 pieces of a dm^k are s^-1, and those
+    of a dm^-k are s^-1 s^2 = s.
+    """
+    marks = [i for i, (name, _) in enumerate(letters) if name == "m"]
+    if sum(abs(letters[i][1]) for i in marks) > SIZE_LIMIT:
         raise DomainError(_TOO_MANY_SEGMENTS)
-    if not trimmed:
-        return None
-    pieces: list[list[Letter]] = []
-    for name, exponent in trimmed.letters:
-        if name != "m":
-            _push(pieces[-1], name, exponent)
-        elif exponent > 0:
-            pieces.extend([("s", -1)] for _ in range(exponent))
-        else:
-            if pieces:
-                _push(pieces[-1], "s", 1)
-            pieces.extend([("s", 1)] for _ in range(-exponent - 1))
-            pieces.append([])
-    return [BraidWord(tuple(piece)) for piece in reversed(pieces)]
+    segments: list[BraidWord] = []
+    end, closing = len(letters), False
+    for i in reversed(marks):
+        k = letters[i][1]
+        piece: list[Letter] = [] if k < 0 else [("s", -1)]
+        _push(piece, *letters[i + 1])
+        piece += letters[i + 2 : end]
+        if closing:
+            _push(piece, "s", 1)
+        segments.append(BraidWord(tuple(piece)))
+        segments += [BraidWord((("s", 1 if k < 0 else -1),))] * (abs(k) - 1)
+        end, closing = i, k < 0
+    return segments
 
 
 def _subgroup_column(u: BraidWord) -> tuple[int, int]:

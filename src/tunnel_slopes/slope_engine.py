@@ -9,8 +9,9 @@ is a class in Q/Z and the later entries are rationals with odd numerator.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
+from itertools import chain
 
 from .braid import (
     BraidWord,
@@ -229,11 +230,21 @@ def braid_from_slopes(seq: SlopeSequence) -> BraidWord:
 
         w(S_i dl^t R) = (w(S_i) - e t) + e t = w(S_i).
 
-    So one pass over the slopes spells each block S_i into one list, reads
-    the next block's twist off that list by the winding rule, and only then
-    appends S_i's own dl^t; no word is built per block.  The blocks' letters
-    are canonicalized once, in the order the word lays them, then shrunk by
-    peephole.
+    So one pass over the slopes spells each block, reads the next block's
+    twist off S_i by the winding rule, and only then joins S_i's own dl^t.
+
+    Each block is canonical by construction.  The speller's letters
+    alternate s and dl, and no b-step is 0; of the a-steps only a1 may be
+    0, and dl^-a1 is the last letter.  So a merge can happen only at the
+    two joins, dm s | s^bn and dl^-a1 | dl^t, and both go through _push,
+    which also drops a zero dl^-a1.  Between blocks the only merge is
+    dm | dm, after a block that shrank to dm alone, and _shrink's own
+    _push takes it.  The blocks' letters go straight into _shrink, left to
+    right, with no word built before it.  The s join must merge first:
+    _shrink rewrites as soon as an s is pushed, so an unmerged s 1 | s^bn
+    could be rewritten as a word it is not part of (s 1 m 1 s 1 s -1 is
+    the word s 1 m 1, which no rewrite touches, but s 1 m 1 s 1 alone
+    becomes m -1).
     """
     if not seq:
         return BraidWord()
@@ -241,12 +252,15 @@ def braid_from_slopes(seq: SlopeSequence) -> BraidWord:
     twist = 0
     pairs = [(x.numerator, x.denominator) for x in seq.rest]
     for p, q in [(seq.first.q, seq.first.p), *pairs]:
-        block = [("m", 1), ("s", 1), *_even_odd_letters(_expand_odd(p, q))]
-        spelled = _winding(block)
-        block.append(("l", twist))
+        spelled = _even_odd_letters(_expand_odd(p, q))
+        block = [("m", 1), ("s", 1)]
+        _push(block, *spelled[0])
+        block += spelled[1:]
+        next_twist = _winding(block)
+        _push(block, "l", twist)
         blocks.append(block)
-        twist = spelled
-    return peephole(word([letter for block in reversed(blocks) for letter in block]))
+        twist = next_twist
+    return _shrink(chain.from_iterable(reversed(blocks)))
 
 
 def peephole(w: BraidWord) -> BraidWord:
@@ -255,11 +269,34 @@ def peephole(w: BraidWord) -> BraidWord:
     Each rewrite replaces s^a g s^b (with a, b positive and g a single
     generator) by s^(a-1) g^-1 s^(b-1), or the mirror image for negative
     exponents; the total s-weight drops by two each time, so this stops.
-    One pass pushes the letters on a stack, rewriting its top while it matches.
+    It is one _shrink pass over the word's letters, which are canonical,
+    so every s comes merged, and the check after each pushed s is enough.
+    """
+    return _shrink(w.letters)
+
+
+def _shrink(letters: Iterable[Letter]) -> BraidWord:
+    """peephole of the word these letters spell, in one pass over them.
+
+    The letters are pushed on a stack with _push, and the stack is kept
+    rewritten as far as it goes: no three adjacent letters in it match
+    s^a g^+-1 s^b.  A match ends in s, so the check runs only after a
+    pushed s, at the top.  A pushed dm or dl either stays on top, where no
+    match ends, or cancels the top and leaves a stack that was already
+    rewritten as far as it goes.  A rewrite of s^a g^e s^b keeps s^a's
+    sign in s^(a-e), so below the top nothing matches that did not match
+    before, and the loop checks the top again until it holds.
+
+    Two s letters that would merge must come in merged, as in a canonical
+    word: s 1 m 1 s 1 s -1 is the word s 1 m 1, but a push of its third
+    letter rewrites s 1 m 1 s 1 to m -1 before the s -1 comes.  Letters of
+    another name may come unmerged, since no check runs between them.
     """
     stack: list[Letter] = []
-    for name, exponent in w.letters:
+    for name, exponent in letters:
         _push(stack, name, exponent)
+        if name != "s":
+            continue
         while len(stack) >= 3:
             (n1, a), (g, e), (n2, b) = stack[-3:]
             if n1 != "s" or n2 != "s" or abs(e) != 1 or a * e < 0 or b * e < 0:

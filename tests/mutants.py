@@ -125,27 +125,49 @@ ROWS = (
         "        i, j = len(left), 0",
         ("tests/test_braid.py::test_products_merge_only_at_the_seam",),
     ),
-    # braid_from_slopes: the twist carried from block to block
+    # braid_from_slopes: the twist carried from block to block, and the block joins
     Mutant(
         "carried twist flipped",
         ENGINE,
-        'block.append(("l", twist))',
-        'block.append(("l", -twist))',
+        '_push(block, "l", twist)',
+        '_push(block, "l", -twist)',
         ROUND_TRIP,
     ),
     Mutant(
         "carried twist zeroed",
         ENGINE,
-        'block.append(("l", twist))',
-        'block.append(("l", 0))',
+        '_push(block, "l", twist)',
+        '_push(block, "l", 0)',
         ROUND_TRIP,
     ),
     Mutant(
         "the twist is read after the block's own dl letter is appended",
         ENGINE,
-        '        spelled = _winding(block)\n        block.append(("l", twist))\n',
-        '        block.append(("l", twist))\n        spelled = _winding(block)\n',
+        '        next_twist = _winding(block)\n        _push(block, "l", twist)\n',
+        '        _push(block, "l", twist)\n        next_twist = _winding(block)\n',
         SPELLING_ORACLE,
+    ),
+    Mutant(
+        "the block joins are skipped, so s 1 and s^bn reach _shrink apart",
+        ENGINE,
+        "        _push(block, *spelled[0])\n        block += spelled[1:]\n",
+        "        block += spelled\n",
+        ("tests/test_oracles.py::test_braid_from_slopes_matches_oracle_on_random_sequences",),
+    ),
+    # the one shrinking pass, shared by peephole and braid_from_slopes
+    Mutant(
+        "_shrink's rewrite keeps g's sign",
+        ENGINE,
+        "_push(stack, g, -e)",
+        "_push(stack, g, e)",
+        ("tests/test_slope_engine.py::test_peephole_pinned_values",),
+    ),
+    Mutant(
+        "the s-only guard is inverted",
+        ENGINE,
+        'if name != "s":\n            continue',
+        'if name == "s":\n            continue',
+        ("tests/test_slope_engine.py::test_peephole_pinned_values",),
     ),
     # the one winding rule
     Mutant(
@@ -177,19 +199,28 @@ ROWS = (
         "tuple([(name, e) for name, e in reversed(letters)])",
         ("tests/test_knot_families.py::test_semisimple_word_byte_pins",),
     ),
+    # the splitter: a merge only at a piece's opening and closing s
+    Mutant(
+        "the splitter leaves a piece's closing s unmerged",
+        BRAID,
+        '            _push(piece, "s", 1)',
+        '            piece.append(("s", 1))',
+        ("tests/test_oracles.py::test_random_words_match_oracles",),
+    ),
     # the one segment count, and the two checks against SIZE_LIMIT
     Mutant(
         "the segment count reads s letters",
         BRAID,
-        'return sum(abs(k) for name, k in letters if name == "m")',
-        'return sum(abs(k) for name, k in letters if name == "s")',
+        "if sum(abs(letters[i][1]) for i in marks) > SIZE_LIMIT:",
+        "if sum(abs(letters[i][1]) for i in range(len(letters)) "
+        'if letters[i][0] == "s") > SIZE_LIMIT:',
         ("tests/test_braid.py::test_segment_size_limit",),
     ),
     Mutant(
         "segment refuses at the limit",
         BRAID,
-        "if _segment_count(trimmed.letters) > SIZE_LIMIT:",
-        "if _segment_count(trimmed.letters) >= SIZE_LIMIT:",
+        "for i in marks) > SIZE_LIMIT:",
+        "for i in marks) >= SIZE_LIMIT:",
         ("tests/test_braid.py::test_segment_size_limit",),
     ),
     Mutant(
