@@ -114,19 +114,25 @@ def _push(stack: list[Letter], name: str, exponent: int) -> None:
         stack.append((name, exponent))
 
 
+def _shown(token: str) -> str:
+    """A refused token as an error message shows it: its first 20 characters."""
+    return repr(token) if len(token) <= 20 else f"{token[:20]!r}..."
+
+
 def _too_long(token: str, kind: str) -> str | None:
     """Why int() refused a token of decimal digits, or None for other tokens.
 
-    Such a token fails only by exceeding Python's limit on integer string
-    conversion; the message names the digit count and echoes only the
-    token's start.
+    The digits may carry a sign and single underscores between them, as
+    int() reads them.  Such a token fails only by exceeding Python's limit
+    on integer string conversion; the message names the digit count.
     """
-    digits = token[1:] if token[:1] in ("+", "-") else token
-    if not digits.isdecimal():
+    body = token[1:] if token[:1] in ("+", "-") else token
+    digits = body.replace("_", "")
+    if not digits.isdecimal() or "__" in body or "_" in (body[0], body[-1]):
         return None
     return (
         f"{kind} too long ({len(digits)} digits, the limit is "
-        f"{sys.get_int_max_str_digits()}), got {token[:20]!r}..."
+        f"{sys.get_int_max_str_digits()}), got {_shown(token)}"
     )
 
 
@@ -136,7 +142,7 @@ def _parse_int(token: str, position: int, kind: str) -> int:
         return int(token)
     except ValueError:
         pass
-    message = _too_long(token, kind) or f"expected an {kind}, got {token!r}"
+    message = _too_long(token, kind) or f"expected an {kind}, got {_shown(token)}"
     raise ParseError(f"token {position}: {message}")
 
 
@@ -149,13 +155,13 @@ def parse_word(text: str) -> BraidWord:
     tokens = text.split()
     if len(tokens) % 2 != 0:
         raise ParseError(
-            f"token {len(tokens)}: generator {tokens[-1]!r} has no exponent"
+            f"token {len(tokens)}: generator {_shown(tokens[-1])} has no exponent"
         )
     letters: list[Letter] = []
     for i in range(0, len(tokens), 2):
         name = tokens[i]
         if name not in GENERATORS:
-            raise ParseError(f"token {i + 1}: expected one of m, l, s, got {name!r}")
+            raise ParseError(f"token {i + 1}: expected one of m, l, s, got {_shown(name)}")
         letters.append((name, _parse_int(tokens[i + 1], i + 2, "integer exponent")))
     return word(letters)
 

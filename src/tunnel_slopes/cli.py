@@ -29,7 +29,7 @@ import os
 import sys
 from collections.abc import Sequence
 
-from .braid import BraidWord, _parse_int, format_word, parse_word, reverse_word
+from .braid import BraidWord, _parse_int, _shown, format_word, parse_word, reverse_word
 from .errors import DomainError, ParseError
 from .knot_families import (
     Rejection,
@@ -183,7 +183,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if argv[:1] in (["-h"], ["--help"]):
         return _write(_program_help(rows.values()))
     if not argv or argv[0] not in rows:
-        given = f"unknown command {argv[0]!r}" if argv else "no command given"
+        given = f"unknown command {_shown(argv[0])}" if argv else "no command given"
         return _fail(f"{given}; run 'tunnel-slopes --help' for the list", 2)
     name, kind, run, _ = rows[argv[0]]
     tokens = argv[1:]

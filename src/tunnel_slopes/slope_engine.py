@@ -19,6 +19,7 @@ from .braid import (
     _even_odd_letters,
     _parse_int,
     _push,
+    _shown,
     _winding,
     reverse_word,
     segment,
@@ -112,7 +113,7 @@ def parse_slopes(text: str) -> SlopeSequence:
         return SlopeSequence()
     if len(tokens) % 2 != 0:
         raise ParseError(
-            f"token {len(tokens)}: numerator {tokens[-1]!r} has no denominator"
+            f"token {len(tokens)}: numerator {_shown(tokens[-1])} has no denominator"
         )
     numbers = [
         _parse_int(token, position, "integer") for position, token in enumerate(tokens, 1)

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import math
 import resource
 import shlex
 import subprocess
@@ -72,6 +73,14 @@ def matrix_cf_value(entries):
         prod = prod * ((MAT_U if i % 2 == 0 else MAT_L) ** n)
     num, den = prod.column(0 if len(entries) % 2 == 0 else 1)
     return INFINITY if den == 0 else Fraction(num, den)
+
+
+def coprime_pairs(a_values):
+    """Every (a, b) with 0 < b < a and gcd(a, b) = 1, a by a, each b ascending."""
+    for a in a_values:
+        for b in range(1, a):
+            if math.gcd(a, b) == 1:
+                yield a, b
 
 
 def run_cli(argv):

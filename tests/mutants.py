@@ -369,6 +369,14 @@ ROWS = (
         'return ",".join([str(seq.first)]',
         (README_UPPER,),
     ),
+    # refusals, which show a token's start only
+    Mutant(
+        "a refusal echoes the whole token",
+        BRAID,
+        '    return repr(token) if len(token) <= 20 else f"{token[:20]!r}..."\n',
+        "    return repr(token)\n",
+        ("tests/test_cli.py::test_a_refused_token_is_not_echoed",),
+    ),
     # the recognizer
     Mutant(
         "find_two_bridge flips its unit after odd k",

@@ -5,7 +5,7 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import matrix_cf_value, run_cli
+from conftest import coprime_pairs, matrix_cf_value, run_cli
 from fuzzing import apply_fuzz, random_fuzz_plan, random_subgroup_word, random_valid_slopes
 from tunnel_slopes import (
     TwoBridge,
@@ -126,13 +126,10 @@ def test_criterion_06_double_coset_invariance():
 
 def test_criterion_07_closed_forms_match_engine():
     checked = 0
-    for a in range(3, 200, 2):
-        for b in range(1, a):
-            if math.gcd(a, b) != 1:
-                continue
-            closed = semisimple_slopes_closed_form(a, b)
-            assert closed == upper_slopes(upper_semisimple_word(a, b)), (a, b)
-            checked += 1
+    for a, b in coprime_pairs(range(3, 200, 2)):
+        closed = semisimple_slopes_closed_form(a, b)
+        assert closed == upper_slopes(upper_semisimple_word(a, b)), (a, b)
+        checked += 1
     torus_checked = 0
     for p in range(3, 31):
         for q in range(2, p):
@@ -150,16 +147,10 @@ def test_criterion_07_closed_forms_match_engine():
 
 def test_criterion_08_recognizer_inverts_closed_form():
     checked = 0
-    for a in range(3, 200, 2):
-        for b in range(1, a):
-            if math.gcd(a, b) != 1:
-                continue
-            result = find_two_bridge(semisimple_slopes_closed_form(a, b))
-            assert result == (TwoBridge(a, b), TwoBridge(a, TwoBridge(a, b).dual_b)), (
-                a,
-                b,
-            )
-            checked += 1
+    for a, b in coprime_pairs(range(3, 200, 2)):
+        result = find_two_bridge(semisimple_slopes_closed_form(a, b))
+        assert result == (TwoBridge(a, b), TwoBridge(a, TwoBridge(a, b).dual_b)), (a, b)
+        checked += 1
     print(f"criterion 08 PASS: recognizer re-identifies all {checked} parameter pairs")
 
 
@@ -170,13 +161,10 @@ def test_criterion_09_toroidal_classification():
                 continue
             assert is_toroidal(torus_upper_slopes(p, q)), (p, q)
             assert is_toroidal(torus_lower_slopes(p, q)), (p, q)
-    for a in range(3, 100, 2):
-        for b in range(1, a):
-            if math.gcd(a, b) != 1:
-                continue
-            expected = b in (1, a - 1)
-            got = is_toroidal(semisimple_slopes_closed_form(a, b))
-            assert got == expected, (a, b)
+    for a, b in coprime_pairs(range(3, 100, 2)):
+        expected = b in (1, a - 1)
+        got = is_toroidal(semisimple_slopes_closed_form(a, b))
+        assert got == expected, (a, b)
     print(
         "criterion 09 PASS: torus sequences classify toroidal; two-bridge "
         "sequences only at b in {1, a-1}"
@@ -197,22 +185,16 @@ def test_criterion_10_arithmetic_layer():
     for _ in range(1000):
         x = Fraction(2 * rng.randint(-5000, 4999) + 1, rng.randint(1, 9999))
         assert cf_eval(expand_odd_numerator(x)) == x, x
-    for a in range(3, 200, 2):
-        for b in range(1, a):
-            if math.gcd(a, b) != 1:
-                continue
-            cf = expand_all_even(a, b)
-            bhat = b if b % 2 == 0 else b - a
-            assert cf_eval(cf) == Fraction(a, bhat), (a, b)
-            assert len(cf) % 2 == 0 and all(e % 2 == 0 for e in cf), (a, b)
-            assert 0 not in cf, (a, b)
-    for a in range(2, 1001):
-        for b in range(1, a):
-            if math.gcd(a, b) != 1:
-                continue
-            inv = mod_inverse(b, a)
-            assert (b * inv) % a == 1, (a, b)
-            assert mod_inverse(inv, a) == b, (a, b)
+    for a, b in coprime_pairs(range(3, 200, 2)):
+        cf = expand_all_even(a, b)
+        bhat = b if b % 2 == 0 else b - a
+        assert cf_eval(cf) == Fraction(a, bhat), (a, b)
+        assert len(cf) % 2 == 0 and all(e % 2 == 0 for e in cf), (a, b)
+        assert 0 not in cf, (a, b)
+    for a, b in coprime_pairs(range(2, 1001)):
+        inv = mod_inverse(b, a)
+        assert (b * inv) % a == 1, (a, b)
+        assert mod_inverse(inv, a) == b, (a, b)
     print(
         "criterion 10 PASS: continued-fraction, expansion, and modular layers "
         "agree with independent checks"

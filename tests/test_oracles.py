@@ -50,7 +50,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import matrix_cf_value
+from conftest import coprime_pairs, matrix_cf_value
 from fuzzing import apply_fuzz, random_fuzz_plan, random_valid_slopes, random_word
 
 from tunnel_slopes import (
@@ -649,18 +649,11 @@ def _segment_count(a, b):
     return sum(abs(k) for name, k in upper_semisimple_word(a, b).letters if name == "m")
 
 
-def _coprime_pairs(a_values):
-    for a in a_values:
-        for b in range(1, a):
-            if math.gcd(a, b) == 1:
-                yield a, b
-
-
 def test_two_bridge_tunnels_match_engine_oracle_on_catalog_tables():
     # the benchmark catalog's tables; acceptance criterion 07 covers every
     # a below 200 for the closed form alone
     checked = 0
-    for a, b in _coprime_pairs([201, 401, 801, 1201]):
+    for a, b in coprime_pairs([201, 401, 801, 1201]):
         assert two_bridge_tunnels(a, b) == oracle_two_bridge_tunnels(a, b), (a, b)
         checked += 1
     assert checked == 2260
@@ -733,7 +726,7 @@ def _spelled_dm_total(a, b):
 def test_semisimple_segment_count_is_the_trimmed_words_dm_total():
     # b' runs over the same residues as b, so one pass over the coprime pairs
     # checks the count for c = b and for c = b' alike
-    for a, c in _coprime_pairs(range(3, 402, 2)):
+    for a, c in coprime_pairs(range(3, 402, 2)):
         count = _semisimple_segments(a, c)
         assert count == _trimmed_dm_total(a, c) == _spelled_dm_total(a, c), (a, c)
     for a, b in [*_NEAR_LIMIT, (131073, 1)]:

@@ -14,7 +14,7 @@ from random import Random
 
 import pytest
 
-from conftest import Mat2
+from conftest import Mat2, coprime_pairs
 from fuzzing import FuzzPlan, random_valid_slopes, random_word
 from tunnel_slopes import (
     BraidWord,
@@ -196,14 +196,12 @@ def _assert_valid_as_built(seq):
 # with SlopeSequence._of_valid, which checks nothing: each value must still
 # pass the public constructor's checks and equal what it builds.
 def test_closed_forms_build_valid_sequences():
-    for a in range(3, 402, 2):
-        for b in range(1, a):
-            if math.gcd(a, b) == 1:
-                report = two_bridge_tunnels(a, b)
-                _assert_valid_as_built(report.upper_simple)
-                _assert_valid_as_built(report.upper_semisimple)
-                _assert_valid_as_built(report.lower_simple)
-                _assert_valid_as_built(report.lower_semisimple)
+    for a, b in coprime_pairs(range(3, 402, 2)):
+        report = two_bridge_tunnels(a, b)
+        _assert_valid_as_built(report.upper_simple)
+        _assert_valid_as_built(report.upper_semisimple)
+        _assert_valid_as_built(report.lower_simple)
+        _assert_valid_as_built(report.lower_semisimple)
 
 
 def test_torus_upper_slopes_build_valid_sequences():
