@@ -219,6 +219,13 @@ def test_a_reader_that_closes_stdout_early_gets_a_quiet_exit():
     assert (proc.returncode, err) == (1, b"")
 
 
+def test_parse_error_exits_two():
+    code, out, err = run_cli(["upperSlopes", "m", "1", "s"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_brackets_and_commas_do_not_parse_in_a_braid_word():
     # slope lists ignore them; braid words take them as part of a token
     code, out, err = run_cli(["upperSlopes", "[m 3, s -2, l 3]"])
@@ -227,6 +234,12 @@ def test_brackets_and_commas_do_not_parse_in_a_braid_word():
     code, out, err = run_cli(["braidWord", "[21 25, 341 60]"])
     assert (code, err) == (0, "")
     assert out == "m 1 s -2 l 3 s -3 m 1 s -3 l 2 s -1 l -1\n"
+
+
+def test_unknown_command_exits_two():
+    code, out, err = run_cli(["noSuchCommand"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
 
 
 # Every refusal that quotes a token, given a token of 100,000 characters or
@@ -446,7 +459,6 @@ _CASCADE = "m 2 s 3 l 1 l -1 s -3 m 1 s 1 l 1".split()
 # the argparse-based parser that this one replaced; each is marked "Was".
 _EDGE_ARGV = [
     (["upperSlopes", "l", "5", "s", "2"], 0, _TRIVIAL),
-    (["upperSlopes", "m", "1", "s"], 2, None),
     # the README's braidWord transcript, read back
     (
         ["upperSlopes", *"m 1 s 1 m -1 s 1 l 1 m 1 s -2 l 3 s -3 m 1 s -3 l 2 s -1 l -1".split()],
@@ -524,7 +536,6 @@ _EDGE_ARGV = [
     ([], 2, None),
     (["upperslopes", "m", "1"], 2, None),
     (["upperSlo", "m", "1"], 2, None),
-    (["noSuchCommand"], 2, None),
 ]
 
 
