@@ -154,32 +154,38 @@ def _coprime(p: int, q: int) -> Fraction:
     return x
 
 
+def _cf_matrix(entries: Sequence[int]) -> tuple[int, int, int, int]:
+    """The integer matrix product of the continued fraction [n1, ..., nk]
+
+        [[n1, 1], [1, 0]] ... [[nk, 1], [1, 0]] = [[p, p0], [q, q0]]
+
+    as (p, p0, q, q0), left to right by the convergent recurrence p_k = n_k
+    p_(k-1) + p_(k-2), and the same for q, from the identity.  Each factor
+    has determinant -1, so p q0 - p0 q = (-1)^k, and p and q are coprime.
+    """
+    p, p0, q, q0 = 1, 0, 0, 1
+    for n in entries:
+        p, p0 = n * p + p0, p
+        q, q0 = n * q + q0, q
+    return p, p0, q, q0
+
+
 def cf_eval(entries: Sequence[int]) -> ExtRational:
     """Value of the continued fraction [n1, ..., nk].
 
     Evaluation is total: a zero tail makes the next level INFINITY, and
     x + 1/INFINITY = x, so e.g. [2, 0, 2] = [4] and [1, 0] = INFINITY.
 
-    It is the integer matrix product
-
-        [[n1, 1], [1, 0]] ... [[nk, 1], [1, 0]] = [[p, p0], [q, q0]]
-
-    taken left to right as the convergent recurrence p_k = n_k p_(k-1) +
-    p_(k-2), and the same for q, from the identity.  Its first column (p, q)
-    is the value p/q, where q = 0 reads as INFINITY, so zero entries and the
-    formal rules need no case of their own.  Each factor has determinant
-    -1, so p q0 - p0 q = +-1 and p and q are coprime: the value is built
-    with no gcd.
+    The value is p/q, read off the first column (p, q) of _cf_matrix, where
+    q = 0 reads as INFINITY, so zero entries and the formal rules need no
+    case of their own.  p and q are coprime, so it is built with no gcd.
     """
     if not entries:
         raise DomainError("cannot evaluate an empty continued fraction")
-    p, p0, q, q0 = 1, 0, 0, 1
-    for n in entries:
-        p, p0 = n * p + p0, p
-        q, q0 = n * q + q0, q
+    p, _, q, _ = _cf_matrix(entries)
     if q == 0:
         return INFINITY
-    return _coprime(p, q)  # p q0 - p0 q = +-1, so gcd(p, q) = 1
+    return _coprime(p, q)  # coprime by _cf_matrix's determinant
 
 
 def _nearest_even(x: Fraction) -> int:
@@ -246,12 +252,12 @@ def expand_all_even(a: int, b: int) -> tuple[int, ...]:
 
         expand_all_even(a, b') == tuple(-c for c in reversed(expand_all_even(a, b)))
 
-    The product of the matrices [[c, 1], [1, 0]] over the entries is
-    +-[[a, p], [bhat, r]].  Transposing it reverses the product, so the
-    reversed entries evaluate to a/p.  The determinant is 1 (the length is
-    even), so p bhat = -1 (mod a), and the negated entries evaluate to a/-p,
-    the value for b'.  So one expansion serves both pairs, but its SIZE_LIMIT
-    count covers only the steps of (a, b), which are the landings of (a, b').
+    The entries' _cf_matrix is +-[[a, p], [bhat, r]].  Transposing it reverses
+    the product, so the reversed entries evaluate to a/p.  The determinant is
+    1 (the length is even), so p bhat = -1 (mod a), and the negated entries
+    evaluate to a/-p, the value for b'.  So one expansion serves both pairs,
+    but its SIZE_LIMIT count covers only the steps of (a, b), which are the
+    landings of (a, b').
     """
     if a < 3 or a % 2 == 0:
         raise DomainError("a must be odd and at least 3")

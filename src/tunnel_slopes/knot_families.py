@@ -40,10 +40,10 @@ from .braid import (
 from .errors import DomainError
 from .exact_arith import (
     SimpleSlope,
+    _cf_matrix,
     _coprime,
     _Value,
     _expand_odd,
-    cf_eval,
     expand_all_even,
     mod_inverse,
 )
@@ -257,8 +257,8 @@ def find_two_bridge(
     unit starts at -1 for odd n0 and +1 for even n0 and flips after each
     even k, and each slope's sign must be minus the unit it meets: that
     parity rule is condition iii on the first later slope and iv on the
-    rest.  So one loop both checks them and builds the all-even entries,
-    which cf_eval turns into a/bhat.
+    rest.  So one loop both checks them and builds the all-even entries of
+    (a, b), and both knots are read off their _cf_matrix.
     """
     if not seq:
         return Rejection("i", REJECTION_I)
@@ -280,7 +280,7 @@ def find_two_bridge(
             return Rejection("ii", REJECTION_II)
     # the closed form's walk run backwards, one unit step 2 alpha per slope
     # landing on k - (alpha + alpha')/2 (a run of -alpha slopes comes back as
-    # landings on 0, which cf_eval merges); built right to left, then reversed
+    # landings on 0, which the product merges); built right to left, then reversed
     unit = -1 if n0 % 2 != 0 else 1
     entries = [n0 - (unit - 1) // 2, 2 * unit]
     for i in range(0, len(slopes), 2):
@@ -290,12 +290,12 @@ def find_two_bridge(
         prev, unit = unit, -unit if k % 2 == 0 else unit
         entries += (k - (unit + prev) // 2, 2 * unit)
     entries.reverse()
-    x = cf_eval(entries)
-    assert isinstance(x, Fraction)
-    a = abs(x.numerator)
-    bhat = x.denominator if x.numerator > 0 else -x.denominator
-    knot = TwoBridge(a, bhat % a)
-    return (knot, TwoBridge(a, knot.dual_b))
+    # (p, q) = sign (a, bhat), and the length is even, so p q0 - p0 q = +1
+    # and b' = -sign p0 inverts b mod a (expand_all_even's transpose argument)
+    p, p0, q, _ = _cf_matrix(entries)
+    sign = 1 if p > 0 else -1
+    a = abs(p)
+    return (TwoBridge(a, sign * q % a), TwoBridge(a, -sign * p0 % a))
 
 
 def _check_torus(p: int, q: int) -> None:
@@ -371,11 +371,11 @@ def _monotone_same_sign(chain: Sequence[int]) -> bool:
 
 
 def is_toroidal(seq: SlopeSequence) -> bool:
-    """Whether the sequence is the upper slope sequence of a torus knot.
+    """Whether the sequence is toroidal, a class wider than torus knots' tunnels.
 
-    The first slope must be a class [1/q] or [(q-1)/q], contributing +-q to
-    the chain of odd integers that the later slopes must continue, staying on
-    one side of zero and never moving toward it.
+    The first slope, a class [1/q] or [(q-1)/q], puts +-q first in a chain of
+    odd integers that the later slopes continue on one side of zero, never
+    moving toward it.  [1/3], 3, 3, 101 is toroidal but no torus knot's.
     """
     if not seq:
         return False

@@ -291,6 +291,7 @@ ROWS = (
             "test_coprime_builds_the_fraction_the_constructor_builds",
         ),
     ),
+    # cf_eval's recurrence is _cf_matrix's, which find_two_bridge shares
     Mutant(
         "cf_eval starts from the other identity column",
         ARITH,
@@ -384,6 +385,17 @@ ROWS = (
         "prev, unit = unit, -unit if k % 2 == 0 else unit",
         "prev, unit = unit, -unit if k % 2 == 1 else unit",
         ("tests/test_knot_families.py::test_find_two_bridge_rejections",),
+    ),
+    Mutant(
+        "find_two_bridge reads b' with the wrong sign",
+        FAMILIES,
+        "-sign * p0",
+        "sign * p0",
+        (
+            "tests/test_acceptance.py::test_criterion_08_recognizer_inverts_closed_form",
+            "tests/test_knot_families.py::test_find_two_bridge_success_cases",
+            "tests/test_oracles.py::test_find_two_bridge_matches_oracle_on_random_sequences",
+        ),
     ),
 )
 

@@ -174,12 +174,17 @@ def test_input_at_the_limit_runs_at_once(argv, start):
     assert proc.stdout.startswith(start)
 
 
-# Lines the reduction loop must get through at once: (argv, exit status,
-# stdout, stderr).  m -4000 s 1 l 1 splits into 4000 segments whose slopes
-# are all integral, and lowerSlopes reads the same word from its reverse.
-# The last line is one segment of 4290-digit exponents whose column grows to
-# about 430,000 digits; its slopes are read with no gcd.
+# Lines the reduction loop and the recognizer must get through at once:
+# (argv, exit status, stdout, stderr).  m -4000 s 1 l 1 splits into 4000
+# segments whose slopes are all integral, and lowerSlopes reads the same word
+# from its reverse.  The long-exponent line is one segment of 4290-digit
+# exponents whose column grows to about 430,000 digits; its slopes are read
+# with no gcd.  The recognizer's line has 16,384 slopes 2 + 1/20, -2 + 1/20,
+# ..., and its a has 26,245 digits, too many to print.
 _DIGITS_4290 = "7" * 4290
+_TOO_LONG_TO_PRINT = (
+    "error: the result has an integer too long to print (the limit is 4300 digits)\n"
+)
 _ENGINE_AT_SCALE = [
     (["upperSlopes", "m", "-4000", "s", "1", "l", "1"], 0, cli.TRIVIAL_TEXT + "\n", ""),
     (["lowerSlopes", "m", "1", "s", "1", "l", "-4000"], 0, cli.TRIVIAL_TEXT + "\n", ""),
@@ -187,15 +192,21 @@ _ENGINE_AT_SCALE = [
         ["upperSlopes", "m", "-1", *["s", _DIGITS_4290, "l", _DIGITS_4290] * 50, "s", "1"],
         1,
         "",
-        "error: the result has an integer too long to print (the limit is 4300 digits)\n",
+        _TOO_LONG_TO_PRINT,
     ),
+    (["find2BridgeKnot", "1", "3", *["41", "20", "-39", "20"] * 8192], 1, "", _TOO_LONG_TO_PRINT),
 ]
 
 
 @pytest.mark.parametrize(
     "argv, code, out, err",
     _ENGINE_AT_SCALE,
-    ids=["upperSlopesIntegral", "lowerSlopesIntegral", "upperSlopesLongExponents"],
+    ids=[
+        "upperSlopesIntegral",
+        "lowerSlopesIntegral",
+        "upperSlopesLongExponents",
+        "find2BridgeKnotTooLongToPrint",
+    ],
 )
 def test_reduction_at_scale_runs_at_once(argv, code, out, err):
     proc = run_capped(["-m", "tunnel_slopes", *argv])

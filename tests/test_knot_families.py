@@ -319,6 +319,9 @@ def test_is_toroidal_pinned_values():
     assert is_toroidal(torus_upper_slopes(5, 13))
     assert is_toroidal(torus_upper_slopes(13, -5))
     assert is_toroidal(semisimple_slopes_closed_form(7, 1))
+    # the paper's toroidal class is wider than the torus knots': the heights
+    # 2, 2, 2, 51 of this chain are no line's staircase
+    assert is_toroidal(parse_slopes("1 3 3 1 3 1 101 1"))
     assert not is_toroidal(semisimple_slopes_closed_form(7, 2))
     assert not is_toroidal(parse_slopes("1 3 1 1"))
     assert not is_toroidal(parse_slopes("1 3 7 2"))
@@ -334,7 +337,8 @@ def test_toroidal_braid_word_pinned_values():
 
 
 def test_toroidal_braid_word_round_trips_through_engine():
-    for odds in ([3, 3], [-3, -3], [3, 3, 5], [5, 7, 7, 11], [-3, -3, -9], [3], [-5]):
+    chains = ([3, 3], [-3, -3], [3, 3, 5], [5, 7, 7, 11], [-3, -3, -9], [3], [-5], [3, 3, 3, 101])
+    for odds in chains:
         w = toroidal_braid_word(odds)
         seq = upper_slopes(w)
         assert is_toroidal(seq), odds
