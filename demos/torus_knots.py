@@ -33,7 +33,8 @@ def main():
     print("  closed form matches the braid-word engine")
     print()
 
-    # Torus-knot sequences are exactly the monotone odd chains.
+    # Torus-knot sequences are toroidal: monotone chains of odd slopes.  The
+    # toroidal class is wider, and not every such chain is a torus knot's.
     assert is_toroidal(upper) and is_toroidal(lower)
     print("is_toroidal(upper) and is_toroidal(lower): both True")
     for a, b in [(7, 1), (7, 2)]:

@@ -17,9 +17,8 @@ two_bridge_tunnels refuses K(a, b) by the same dm count that segment uses,
 read off the a-steps of both words' even-odd expansions without spelling a
 letter.
 
-The (p, q) torus knot's tunnels have slope sequences read off the staircase
-of heights ceil(k p / q), and a sequence arising that way can be recognized
-and realized directly.
+The torus knot T(p, q) has its braid word and tunnel slopes read off the
+staircase of (|p|, |q|); the wider toroidal class is recognized and realized.
 """
 
 from __future__ import annotations
@@ -324,19 +323,20 @@ def staircase(p: int, q: int) -> tuple[int, ...]:
 def torus_braid_word(p: int, q: int) -> BraidWord:
     """A braid word describing the (p, q) torus knot.
 
-    (-p, -q) gives the word of (p, q), spelled with p > 0.  The staircase is
-    read from its last step down: for q > 0 that of ceil(k p / q), each
-    step spelled as a dl run of minus its rise and one dm; for q < 0 that
-    of ceil(k |q| / p), each step spelled as one dl and a dm run of its rise.
+    (-p, -q) gives the word of (p, q), spelled with p > 0.  It reads the
+    staircase of (|p|, |q|), as torus_upper_slopes does, each step spelled
+    as a dl run and one dm: for q > 0 from the last step down, each run
+    minus the step's rise; for q < 0 from the first step up, each run its rise.
     """
     _check_torus(p, q)
     if p < 0:
         p, q = -p, -q
-    heights = staircase(p, q) if q > 0 else staircase(-q, p)
+    heights = staircase(p, abs(q))
+    steps = range(len(heights) - 2, -1, -1) if q > 0 else range(len(heights) - 1)
     letters: list[tuple[str, int]] = []
-    for k in range(len(heights) - 2, -1, -1):
+    for k in steps:
         rise = heights[k + 1] - heights[k]
-        letters += (("l", -rise), ("m", 1)) if q > 0 else (("l", 1), ("m", rise))
+        letters += (("l", -rise if q > 0 else rise), ("m", 1))
     return word(letters)
 
 

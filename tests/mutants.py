@@ -56,10 +56,11 @@ SPELLING_ORACLE = (
     "tests/test_oracles.py::test_braid_from_slopes_matches_oracle_on_lower_sequences",
     "tests/test_oracles.py::test_braid_from_slopes_matches_oracle_on_deep_sequences",
 )
-# The Tier-1 digest of the torus corpus (tests/digests.py): the two rows that
-# name it alone were found by running candidate mutants against the rest of
-# Tier-1, which they pass.
+# The Tier-1 digest of the torus corpus (tests/digests.py): the row that names
+# it alone was found by running candidate mutants against the rest of Tier-1,
+# which it passes.  Mixed-sign torus words are pinned as well.
 DIGEST_TORUS = "tests/test_digests.py::test_answers_match_the_recorded_digest[torus]"
+TORUS_WORD_PINS = "tests/test_knot_families.py::test_torus_braid_word_pinned_values"
 README_UPPER = (
     "tests/test_cli.py::test_readme_transcript[upperSlopes m 3 s -2 l 3 s -4 m -1 s -4 l 3]"
 )
@@ -347,7 +348,7 @@ ROWS = (
         "    return SlopeSequence._of_valid(SimpleSlope.from_fraction(values[0]), tuple(values[1:]))",
         ("tests/test_slope_engine.py::test_parse_slopes_errors",),
     ),
-    # answers that only the digest corpora reach: mixed-sign torus knots
+    # mixed-sign torus knots: slopes that only the digest corpora reach, and words
     Mutant(
         "torus_upper_slopes keeps the chain positive for negative p and positive q",
         FAMILIES,
@@ -358,9 +359,16 @@ ROWS = (
     Mutant(
         "torus_braid_word drops the last block of a mixed-sign staircase",
         FAMILIES,
-        '(("l", 1), ("m", rise))',
-        '(("l", 1), ("m", rise)) if k else ()',
-        (DIGEST_TORUS,),
+        "else range(len(heights) - 1)",
+        "else range(len(heights) - 2)",
+        (DIGEST_TORUS, TORUS_WORD_PINS),
+    ),
+    Mutant(
+        "torus_braid_word reads a mixed-sign staircase downward",
+        FAMILIES,
+        "else range(len(heights) - 1)",
+        "else range(len(heights) - 2, -1, -1)",
+        (TORUS_WORD_PINS,),
     ),
     # the text form, as the README shows it
     Mutant(

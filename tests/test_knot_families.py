@@ -20,6 +20,7 @@ from tunnel_slopes import (
     lower_simple_word,
     lower_slopes,
     parse_slopes,
+    reverse_word,
     semisimple_slopes_closed_form,
     staircase,
     toroidal_braid_word,
@@ -296,6 +297,22 @@ def test_torus_braid_word_pinned_values():
     )
     assert format_word(torus_braid_word(3, 2)) == "l -1 m 1 l -2 m 1"
     assert format_word(torus_braid_word(2, 3)) == "m 1 l -1 m 1 l -1 m 1"
+    # mixed signs: the staircase of (13, 5), or of (5, 13), read from its first step up
+    for p, q in ((13, -5), (-13, 5)):
+        assert format_word(torus_braid_word(p, q)) == "l 3 m 1 l 3 m 1 l 2 m 1 l 3 m 1 l 2 m 1"
+    assert format_word(torus_braid_word(5, -13)) == "l 1 m 2 l 1 m 3 l 1 m 2 l 1 m 3 l 1 m 3"
+
+
+def test_mixed_sign_torus_words_reverse_when_p_and_q_swap():
+    # opposite signs only: the words of (3, 2) and (2, 3), pinned above, are no reverses
+    checked = 0
+    for a, b in coprime_pairs(range(3, 71)):
+        if b == 1:
+            continue
+        for p, q in ((a, -b), (-a, b), (b, -a), (-b, a)):
+            assert torus_braid_word(p, q) == reverse_word(torus_braid_word(q, p)), (p, q)
+            checked += 1
+    assert checked == 5696, checked
 
 
 def test_torus_upper_slopes_pinned_values():

@@ -24,7 +24,9 @@ match or the same rejection on random sequences near the semisimple ones.
 `cf_eval` multiplies integer matrices; its oracle evaluates right to left in
 `Fraction` arithmetic with the formal rules for INFINITY as cases of their
 own, and the recognizer's oracle uses it, so that it runs none of the code
-under test.
+under test.  `torus_braid_word` reads the staircase of (|p|, |q|) for either
+sign; its oracle reads the staircase of (|q|, p) for mixed signs and leaves
+`word` to merge its dm runs, and the two must spell the same words.
 
 The word layer once canonicalized every word it made: `reverse_word`,
 `double_coset_trim` and each `segment` piece passed their letters through
@@ -86,8 +88,10 @@ from tunnel_slopes.knot_families import (
     REJECTION_II,
     REJECTION_III,
     REJECTION_IV,
+    _check_torus,
     _semisimple_segments,
     lower_simple_word,
+    staircase,
     toroidal_braid_word,
     torus_braid_word,
 )
@@ -831,3 +835,44 @@ def test_find_two_bridge_matches_oracle_on_random_sequences():
         assert result == oracle_find_two_bridge(seq), seq
         outcomes[result.condition if isinstance(result, Rejection) else "match"] += 1
     assert min(outcomes.values()) >= 1000, outcomes
+
+
+def oracle_torus_braid_word(p, q):
+    """The torus word with mixed signs read off the other staircase.
+
+    For q < 0 it reads the staircase of (|q|, p) from its last step down,
+    each step spelled as one dl and a dm run of its rise, and leaves `word`
+    to merge the runs.
+    """
+    _check_torus(p, q)
+    if p < 0:
+        p, q = -p, -q
+    heights = staircase(p, q) if q > 0 else staircase(-q, p)
+    letters = []
+    for k in range(len(heights) - 2, -1, -1):
+        rise = heights[k + 1] - heights[k]
+        letters += (("l", -rise), ("m", 1)) if q > 0 else (("l", 1), ("m", rise))
+    return word(letters)
+
+
+def _torus_pairs():
+    """Every coprime (p, q) with 2 <= |p|, |q| <= 64 in all four sign patterns;
+    pairs at the size limit; and seeded pairs up to 65,536 whose magnitudes
+    are log-uniform, so that most are small."""
+    for p, q in product(range(2, 65), repeat=2):
+        if math.gcd(p, q) == 1:
+            yield from ((p, q), (-p, q), (p, -q), (-p, -q))
+    yield from ((65536, 65535), (-65536, 65535), (65535, -2), (2, -65535), (-65535, 2))
+    rng = Random(65536)
+    for _ in range(24):
+        p, q = (rng.choice((1, -1)) * rng.randint(2, 2 ** rng.randint(2, 16)) for _ in "pq")
+        if math.gcd(p, q) == 1:
+            yield p, q
+
+
+def test_torus_braid_word_matches_oracle():
+    checked = 0
+    for p, q in _torus_pairs():
+        assert torus_braid_word(p, q).letters == oracle_torus_braid_word(p, q).letters, (p, q)
+        checked += 1
+    assert checked == 9585, checked
