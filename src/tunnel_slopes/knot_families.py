@@ -17,8 +17,9 @@ two_bridge_tunnels refuses K(a, b) by the same dm count that segment uses,
 read off the a-steps of both words' even-odd expansions without spelling a
 letter.
 
-The torus knot T(p, q) has its braid word and tunnel slopes read off the
-staircase of (|p|, |q|); the wider toroidal class is recognized and realized.
+The torus knot T(p, q) has its tunnel slopes read off the staircase of
+(|p|, |q|), and its braid word walks that staircase's heights; the wider
+toroidal class is recognized, and its words walk heights that are monotone.
 """
 
 from __future__ import annotations
@@ -320,24 +321,27 @@ def staircase(p: int, q: int) -> tuple[int, ...]:
     return tuple(-((-k * p) // q) for k in range(q + 1))
 
 
+def _walk(heights: Sequence[int]) -> list[tuple[str, int]]:
+    """One dl run, minus the step's rise, and one dm per step, from the last step down."""
+    letters: list[tuple[str, int]] = []
+    for k in range(len(heights) - 2, -1, -1):
+        letters += (("l", heights[k] - heights[k + 1]), ("m", 1))
+    return letters
+
+
 def torus_braid_word(p: int, q: int) -> BraidWord:
     """A braid word describing the (p, q) torus knot.
 
-    (-p, -q) gives the word of (p, q), spelled with p > 0.  It reads the
-    staircase of (|p|, |q|), as torus_upper_slopes does, each step spelled
-    as a dl run and one dm: for q > 0 from the last step down, each run
-    minus the step's rise; for q < 0 from the first step up, each run its rise.
+    (-p, -q) gives the word of (p, q), spelled with p > 0.  It walks the
+    staircase of (|p|, |q|), as torus_upper_slopes reads it, one dl run and
+    one dm per step: for q > 0 from the last step down, and for q < 0 the
+    staircase reversed, so from the first step up with each run its rise.
     """
     _check_torus(p, q)
     if p < 0:
         p, q = -p, -q
     heights = staircase(p, abs(q))
-    steps = range(len(heights) - 2, -1, -1) if q > 0 else range(len(heights) - 1)
-    letters: list[tuple[str, int]] = []
-    for k in steps:
-        rise = heights[k + 1] - heights[k]
-        letters += (("l", -rise if q > 0 else rise), ("m", 1))
-    return word(letters)
+    return word(_walk(heights if q > 0 else heights[::-1]))
 
 
 def torus_upper_slopes(p: int, q: int) -> SlopeSequence:
@@ -358,6 +362,7 @@ def torus_upper_slopes(p: int, q: int) -> SlopeSequence:
 
 def torus_lower_slopes(p: int, q: int) -> SlopeSequence:
     """Slope sequence of the lower tunnel: the upper one with p and q swapped."""
+    _check_torus(p, q)  # so that a refusal names p and q in the order given
     return torus_upper_slopes(q, p)
 
 
@@ -398,8 +403,9 @@ def toroidal_braid_word(odds: Sequence[int]) -> BraidWord:
     """A braid word whose upper slope sequence has the given toroidal chain.
 
     The chain lists odd integers n0, n1, ..., nk, all of one sign, monotone
-    away from zero, with |n0| >= 3; entry j contributes the block
-    dm dl^(m_j - m_(j-1)) with m_j = -(n_j + 1)/2.
+    away from zero, with |n0| >= 3.  The word is torus_braid_word's walk over
+    the heights 0, (n0 + 1)/2, ..., (nk + 1)/2, conjugated by dm: a torus
+    knot's heights are a line's staircase, a chain's need only be monotone.
     """
     odds = list(odds)
     if not odds:
@@ -410,11 +416,5 @@ def toroidal_braid_word(odds: Sequence[int]) -> BraidWord:
         raise DomainError("the leading chain entry must have magnitude at least 3")
     if not _monotone_same_sign(odds):
         raise DomainError("chain entries must share a sign and be monotone away from zero")
-    ms = [-(n + 1) // 2 for n in odds]
-    letters: list[tuple[str, int]] = []
-    for j in range(len(ms) - 1, 0, -1):
-        letters.append(("m", 1))
-        letters.append(("l", ms[j] - ms[j - 1]))
-    letters.append(("m", 1))
-    letters.append(("l", ms[0]))
-    return word(letters)
+    heights = [0] + [(n + 1) // 2 for n in odds]
+    return word([("m", 1)] + _walk(heights) + [("m", -1)])

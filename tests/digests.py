@@ -41,6 +41,7 @@ from tunnel_slopes import (
     lower_simple_word,
     lower_slopes,
     reverse_word,
+    toroidal_braid_word,
     torus_braid_word,
     torus_lower_slopes,
     torus_upper_slopes,
@@ -54,6 +55,7 @@ RECORD = Path(__file__).resolve().parent / "digests.json"
 SIZES = {"full": 1, "tenth": 10}
 WORDS = 12000
 SEQUENCES = 5000
+CHAINS = 4000
 
 
 def _text(answer: object) -> str:
@@ -142,7 +144,39 @@ def torus(divisor: int):
         yield " | ".join(answers)
 
 
-CORPORA = {"words": words, "sequences": sequences, "two-bridge": two_bridge, "torus": torus}
+def toroidal(divisor: int):
+    """Seeded chains of either sign, valid and refused: the word or the refusal.
+
+    A chain starts at an odd entry up to about two million and climbs by
+    steps of 0, 2 or up to 100; a fifth of the chains are then broken by
+    an even entry, an entry of the other sign or a reversal.
+    """
+    rng = Random(2604)
+    yield f"[] | {_answer(toroidal_braid_word, [])}"
+    for _ in range(CHAINS // divisor):
+        chain = [2 * rng.randint(0, 2 ** rng.randint(1, 20)) + 1]
+        for _ in range(rng.randint(0, 2 ** rng.randint(0, 7))):
+            chain.append(chain[-1] + 2 * rng.choice((0, 0, 1, rng.randint(0, 50))))
+        i = rng.randint(0, len(chain) - 1)
+        broken = rng.randint(0, 14)
+        if broken == 0:
+            chain[i] += 1
+        elif broken == 1:
+            chain[i] = -chain[i]
+        elif broken == 2:
+            chain.reverse()
+        sign = rng.choice((1, -1))
+        chain = [sign * n for n in chain]
+        yield f"{chain} | {_answer(toroidal_braid_word, chain)}"
+
+
+CORPORA = {
+    "words": words,
+    "sequences": sequences,
+    "two-bridge": two_bridge,
+    "torus": torus,
+    "toroidal": toroidal,
+}
 
 
 def digest(name: str, divisor: int) -> str:

@@ -359,16 +359,45 @@ ROWS = (
     Mutant(
         "torus_braid_word drops the last block of a mixed-sign staircase",
         FAMILIES,
-        "else range(len(heights) - 1)",
-        "else range(len(heights) - 2)",
+        "heights if q > 0 else heights[::-1]",
+        "heights if q > 0 else heights[-2::-1]",
         (DIGEST_TORUS, TORUS_WORD_PINS),
     ),
     Mutant(
         "torus_braid_word reads a mixed-sign staircase downward",
         FAMILIES,
-        "else range(len(heights) - 1)",
-        "else range(len(heights) - 2, -1, -1)",
+        "heights if q > 0 else heights[::-1]",
+        "heights if q > 0 else [-h for h in heights]",
+        (DIGEST_TORUS, TORUS_WORD_PINS),
+    ),
+    # the staircase walk that spells torus and toroidal words
+    Mutant(
+        "the staircase walk reads its heights upward",
+        FAMILIES,
+        "for k in range(len(heights) - 2, -1, -1):",
+        "for k in range(len(heights) - 1):",
         (TORUS_WORD_PINS,),
+    ),
+    Mutant(
+        "toroidal_braid_word walks its heights from n0, not from 0",
+        FAMILIES,
+        "heights = [0] + [(n + 1) // 2 for n in odds]",
+        "heights = [(n + 1) // 2 for n in odds]",
+        (
+            "tests/test_knot_families.py::test_toroidal_braid_word_pinned_values",
+            "tests/test_oracles.py::test_toroidal_braid_word_matches_oracle",
+        ),
+    ),
+    Mutant(
+        "torus_lower_slopes checks the swapped parameters",
+        FAMILIES,
+        "    _check_torus(p, q)  # so that a refusal names p and q in the order given\n",
+        "",
+        (
+            "tests/test_knot_families.py::"
+            "test_torus_lower_slopes_refusal_names_p_and_q_in_the_order_given",
+            "tests/test_cli.py::test_torus_lower_slopes_refusal_names_p_and_q_in_the_order_given",
+        ),
     ),
     # the text form, as the README shows it
     Mutant(

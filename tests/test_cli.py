@@ -121,6 +121,10 @@ def test_input_over_the_size_limit_exits_one(argv, message):
     assert proc.stderr == f"error: {message}\n"
 
 
+def test_torus_lower_slopes_refusal_names_p_and_q_in_the_order_given():
+    assert run_cli(["torusLowerSlopes", "4", "6"]) == (1, "", "error: 4 and 6 are not coprime\n")
+
+
 def test_two_bridge_at_the_size_limit_runs_at_once():
     # the upper semisimple word dm^-65536 s^2 dl^-1 has exactly 65536 segments
     proc = run_capped(["-m", "tunnel_slopes", "twoBridge", str(4 * 65536 + 1), "2"])

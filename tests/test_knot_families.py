@@ -331,6 +331,13 @@ def test_torus_lower_slopes_swaps_parameters():
     assert torus_lower_slopes(5, 13) == torus_upper_slopes(13, 5)
 
 
+def test_torus_lower_slopes_refusal_names_p_and_q_in_the_order_given():
+    for p, q in ((4, 6), (-4, 6)):
+        with pytest.raises(DomainError) as info:
+            torus_lower_slopes(p, q)
+        assert str(info.value) == f"{p} and {q} are not coprime"
+
+
 def test_is_toroidal_pinned_values():
     assert is_toroidal(torus_upper_slopes(13, 5))
     assert is_toroidal(torus_upper_slopes(5, 13))
@@ -351,6 +358,9 @@ def test_toroidal_braid_word_pinned_values():
     assert format_word(toroidal_braid_word([3, 3])) == "m 2 l -2"
     assert format_word(toroidal_braid_word([-3, -3])) == "m 2 l 1"
     assert format_word(toroidal_braid_word([3, 3, 5])) == "m 1 l -1 m 2 l -2"
+    assert format_word(toroidal_braid_word([-3, -5, -5, -11])) == "m 1 l 3 m 2 l 1 m 1 l 1"
+    assert format_word(toroidal_braid_word([5, 7, 7, 11])) == "m 1 l -2 m 2 l -1 m 1 l -3"
+    assert format_word(toroidal_braid_word([3, 3, 3, 101])) == "m 1 l -49 m 3 l -2"
 
 
 def test_toroidal_braid_word_round_trips_through_engine():

@@ -27,6 +27,9 @@ own, and the recognizer's oracle uses it, so that it runs none of the code
 under test.  `torus_braid_word` reads the staircase of (|p|, |q|) for either
 sign; its oracle reads the staircase of (|q|, p) for mixed signs and leaves
 `word` to merge its dm runs, and the two must spell the same words.
+`toroidal_braid_word` walks its chain's heights (n + 1)/2 the same way; its
+oracle spells one block per chain entry, as the word was once spelled, and
+the two must spell the same words on long chains of either sign.
 
 The word layer once canonicalized every word it made: `reverse_word`,
 `double_coset_trim` and each `segment` piece passed their letters through
@@ -876,3 +879,45 @@ def test_torus_braid_word_matches_oracle():
         assert torus_braid_word(p, q).letters == oracle_torus_braid_word(p, q).letters, (p, q)
         checked += 1
     assert checked == 9585, checked
+
+
+def oracle_toroidal_braid_word(odds):
+    """The toroidal word spelled block by block, from the last entry down.
+
+    With m_j = -(n_j + 1)/2, entry j > 0 gives dm dl^(m_j - m_(j-1)) and the
+    leading entry gives dm dl^m_0 last.
+    """
+    ms = [-(n + 1) // 2 for n in odds]
+    letters = []
+    for j in range(len(ms) - 1, 0, -1):
+        letters.append(("m", 1))
+        letters.append(("l", ms[j] - ms[j - 1]))
+    letters.append(("m", 1))
+    letters.append(("l", ms[0]))
+    return word(letters)
+
+
+def _toroidal_chains():
+    """2,500 seeded chains of either sign: a third lead with 3, the rest with
+    odd entries up to about two million; steps of 0, 2 or up to 100; up to
+    257 entries."""
+    rng = Random(2605)
+    for _ in range(2500):
+        chain = [3 if rng.randint(0, 2) == 0 else 2 * rng.randint(2, 2 ** rng.randint(2, 20)) + 1]
+        for _ in range(rng.randint(0, 2 ** rng.randint(0, 8))):
+            chain.append(chain[-1] + 2 * rng.choice((0, 0, 1, rng.randint(0, 50))))
+        sign = rng.choice((1, -1))
+        yield [sign * n for n in chain]
+
+
+def test_toroidal_braid_word_matches_oracle():
+    seen = {"leading 3": 0, "negative": 0, "repeated": 0, "jump over 50": 0, "over 100 long": 0}
+    for odds in _toroidal_chains():
+        assert toroidal_braid_word(odds).letters == oracle_toroidal_braid_word(odds).letters, odds
+        steps = [abs(b - a) for a, b in zip(odds, odds[1:])]
+        seen["leading 3"] += abs(odds[0]) == 3
+        seen["negative"] += odds[0] < 0
+        seen["repeated"] += 0 in steps
+        seen["jump over 50"] += max(steps, default=0) > 50
+        seen["over 100 long"] += len(odds) > 100
+    assert min(seen.values()) >= 200, seen
