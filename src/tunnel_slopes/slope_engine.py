@@ -232,20 +232,15 @@ def braid_from_slopes(seq: SlopeSequence) -> BraidWord:
         w(S_i dl^t R) = (w(S_i) - e t) + e t = w(S_i).
 
     So one pass over the slopes spells each block, reads the next block's
-    twist off S_i by the winding rule, and only then joins S_i's own dl^t.
+    twist off S_i by the winding rule, and only then appends S_i's own dl^t.
 
-    Each block is canonical by construction.  The speller's letters
-    alternate s and dl, and no b-step is 0; of the a-steps only a1 may be
-    0, and dl^-a1 is the last letter.  So a merge can happen only at the
-    two joins, dm s | s^bn and dl^-a1 | dl^t, and both go through _push,
-    which also drops a zero dl^-a1.  Between blocks the only merge is
-    dm | dm, after a block that shrank to dm alone, and _shrink's own
-    _push takes it.  The blocks' letters go straight into _shrink, left to
-    right, with no word built before it.  The s join must merge first:
-    _shrink rewrites as soon as an s is pushed, so an unmerged s 1 | s^bn
-    could be rewritten as a word it is not part of (s 1 m 1 s 1 s -1 is
-    the word s 1 m 1, which no rewrite touches, but s 1 m 1 s 1 alone
-    becomes m -1).
+    The block's s letters come merged, as _shrink needs: dm s s^bn is
+    spelled dm s^(bn + 1) by raising the expansion's last b-step, and the
+    speller's other letters alternate s and dl.  The dl letters that meet
+    (dl^-a1 dl^t, and any zero among them) merge in _shrink's own _push,
+    as does dm | dm after a block that shrank to dm alone.  The blocks'
+    letters go straight into _shrink, left to right, with no word built
+    before it.
     """
     if not seq:
         return BraidWord()
@@ -253,12 +248,11 @@ def braid_from_slopes(seq: SlopeSequence) -> BraidWord:
     twist = 0
     pairs = [(x.numerator, x.denominator) for x in seq.rest]
     for p, q in [(seq.first.q, seq.first.p), *pairs]:
-        spelled = _even_odd_letters(_expand_odd(p, q))
-        block = [("m", 1), ("s", 1)]
-        _push(block, *spelled[0])
-        block += spelled[1:]
+        entries = _expand_odd(p, q)
+        entries[-1] += 1
+        block = [("m", 1), *_even_odd_letters(entries)]
         next_twist = _winding(block)
-        _push(block, "l", twist)
+        block.append(("l", twist))
         blocks.append(block)
         twist = next_twist
     return _shrink(chain.from_iterable(reversed(blocks)))

@@ -8,11 +8,13 @@ A row names a file, an exact text in it, the text that replaces it, the test
 node ids to run, and the outcome expected: "killed" (the tests fail) or
 "survives" (they pass, for the reason the row gives).  Each row runs on a
 fresh temporary copy of src/, tests/, demos/ and README.md with
-PYTHONPATH=src.  The old text must occur exactly once in the file, or the row
-fails as stale; a row whose anchor moves is updated with the code it anchors.  The listed nodes are first
-run once on an unchanged copy, where every one must pass.  The script exits 0
-when every row has its expected outcome.  pytest does not collect it: the
-file name has no test_ prefix and it defines no test functions.
+PYTHONPATH=src.  The old text must occur exactly once in the repository's own
+file, which is counted before any copy is made, or the row fails as stale; a
+row whose anchor moves is updated with the code it anchors, and Tier-1 checks
+every anchor and node statically.  The listed nodes are first run once on an
+unchanged copy, where every one must pass.  The script exits 0 when every row
+has its expected outcome.  pytest does not collect it: the file name has no
+test_ prefix and it defines no test functions.
 """
 
 from __future__ import annotations
@@ -126,34 +128,41 @@ ROWS = (
         "        i, j = len(left), 0",
         ("tests/test_braid.py::test_products_merge_only_at_the_seam",),
     ),
-    # braid_from_slopes: the twist carried from block to block, and the block joins
+    # braid_from_slopes: the twist carried from block to block, and each block's dm s
     Mutant(
         "carried twist flipped",
         ENGINE,
-        '_push(block, "l", twist)',
-        '_push(block, "l", -twist)',
+        'block.append(("l", twist))',
+        'block.append(("l", -twist))',
         ROUND_TRIP,
     ),
     Mutant(
         "carried twist zeroed",
         ENGINE,
-        '_push(block, "l", twist)',
-        '_push(block, "l", 0)',
+        'block.append(("l", twist))',
+        'block.append(("l", 0))',
         ROUND_TRIP,
     ),
     Mutant(
         "the twist is read after the block's own dl letter is appended",
         ENGINE,
-        '        next_twist = _winding(block)\n        _push(block, "l", twist)\n',
-        '        _push(block, "l", twist)\n        next_twist = _winding(block)\n',
+        '        next_twist = _winding(block)\n        block.append(("l", twist))\n',
+        '        block.append(("l", twist))\n        next_twist = _winding(block)\n',
         SPELLING_ORACLE,
     ),
     Mutant(
-        "the block joins are skipped, so s 1 and s^bn reach _shrink apart",
+        "the block's dm s is spelled apart, so s 1 and s^bn reach _shrink unmerged",
         ENGINE,
-        "        _push(block, *spelled[0])\n        block += spelled[1:]\n",
-        "        block += spelled\n",
+        '        entries[-1] += 1\n        block = [("m", 1), *_even_odd_letters(entries)]\n',
+        '        block = [("m", 1), ("s", 1), *_even_odd_letters(entries)]\n',
         ("tests/test_oracles.py::test_braid_from_slopes_matches_oracle_on_random_sequences",),
+    ),
+    Mutant(
+        "the last b-step is not raised",
+        ENGINE,
+        "        entries[-1] += 1\n",
+        "",
+        ROUND_TRIP,
     ),
     # the one shrinking pass, shared by peephole and braid_from_slopes
     Mutant(
@@ -451,16 +460,20 @@ def _pytest(where: Path, nodes: tuple[str, ...]) -> int:
     return done.returncode
 
 
+def anchor_count(row: Mutant) -> int:
+    """How often the row's old text occurs in the repository's own file."""
+    return (ROOT / row.path).read_text().count(row.old)
+
+
 def _outcome(row: Mutant) -> str:
     """killed, survives, stale (the old text is not there once), or error."""
+    if anchor_count(row) != 1:
+        return "stale"
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         where = Path(tmp)
         _copy(where)
         target = where / row.path
-        text = target.read_text()
-        if text.count(row.old) != 1:
-            return "stale"
-        target.write_text(text.replace(row.old, row.new))
+        target.write_text(target.read_text().replace(row.old, row.new))
         code = _pytest(where, row.nodes)
     return {0: "survives", 1: "killed"}.get(code, f"error (pytest exit {code})")
 

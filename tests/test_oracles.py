@@ -636,6 +636,17 @@ def test_braid_from_slopes_matches_oracle_on_deep_sequences():
         assert braid_from_slopes(seq).letters == oracle_braid_from_slopes(seq).letters, seq
 
 
+def test_the_unshrunk_spelled_word_has_the_same_slopes_both_ways():
+    # the shrink changes neither tunnel: the spelled blocks alone realize the
+    # upper sequence and give braid_from_slopes' lower one
+    rng = Random(1212)
+    for _ in range(300):
+        seq = random_valid_slopes(rng, max_d=12)
+        spelled = oracle_spelled_word(seq)
+        assert upper_slopes(spelled) == seq, seq
+        assert lower_slopes(spelled) == lower_slopes(braid_from_slopes(seq)), seq
+
+
 def oracle_two_bridge_tunnels(a, b, engine=upper_slopes):
     """All four tunnels of K(a, b), the semisimple ones read by the slope engine.
 

@@ -1,11 +1,14 @@
-"""Fuzzing helpers: relator insertion plans, random inputs, brute-force search."""
+"""Fuzzing helpers (relator insertion plans, random inputs, brute-force search)
+and the mutation gate's rows."""
 
+import ast
 import math
 from fractions import Fraction
 from random import Random
 
 import pytest
 
+import mutants
 from fuzzing import (
     RELATORS,
     FuzzPlan,
@@ -111,3 +114,17 @@ def test_brute_force_solutions_all_evaluate_correctly_and_contain_greedy():
         assert greedy in solutions, x
         for cf in solutions:
             assert cf_eval(cf) == x, (x, cf)
+
+
+def test_every_mutation_row_names_one_anchor_and_existing_tests():
+    """The gate's rows, checked without running them: each old text occurs
+    once in its file, and each node names a test function that exists."""
+    defined: dict[str, set[str]] = {}
+    for row in mutants.ROWS:
+        assert mutants.anchor_count(row) == 1, row.name
+        for node in row.nodes:
+            path, function = node.split("[")[0].split("::")
+            if path not in defined:
+                tree = ast.parse((mutants.ROOT / path).read_text())
+                defined[path] = {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
+            assert function in defined[path], (row.name, node)
