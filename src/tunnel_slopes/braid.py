@@ -54,6 +54,7 @@ class BraidWord(_Value):
     __slots__ = ("letters",)
 
     def __init__(self, letters: tuple[Letter, ...] = ()) -> None:
+        # one direct write, not _Value.__init__'s loop: the engine builds hundreds of words per call
         object.__setattr__(self, "letters", letters)
 
     def __mul__(self, other: "BraidWord") -> "BraidWord":

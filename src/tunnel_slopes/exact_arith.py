@@ -59,14 +59,27 @@ ExtRational = Fraction | _Infinity
 class _Value:
     """Base of the package's immutable values.
 
-    A subclass names its fields in ``__slots__`` and sets them in its own
-    ``__init__`` with ``object.__setattr__``.  Instances compare equal field
-    by field within one class, hash their field tuple, refuse assignment,
-    print as ``Name(field=value, ...)`` and rebuild from their fields under
-    copy and pickle.
+    A subclass names its fields in ``__slots__``; ``__init__`` sets them in
+    that order, and a subclass that checks its fields calls it after its
+    checks.  ``_of`` builds a value with no checks, only from fields that are
+    valid by construction: the caller says why at the call site.  Instances
+    compare equal field by field within one class, hash their field tuple,
+    refuse assignment, print as ``Name(field=value, ...)`` and rebuild from
+    their fields under copy and pickle.
     """
 
     __slots__ = ()
+
+    def __init__(self, *fields: object) -> None:
+        for name, value in zip(self.__slots__, fields, strict=True):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _of(cls, *fields: object):
+        """The value with these fields, past the subclass's checks."""
+        value = object.__new__(cls)
+        _Value.__init__(value, *fields)
+        return value
 
     def _fields(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
@@ -112,8 +125,7 @@ class SimpleSlope(_Value):
                 raise DomainError("the trivial class is written 0/1")
         elif math.gcd(p, q) != 1:
             raise DomainError(f"simple slope {p}/{q} is not reduced")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
+        super().__init__(p, q)
 
     @classmethod
     def from_fraction(cls, x: Fraction) -> "SimpleSlope":
@@ -127,12 +139,7 @@ class SimpleSlope(_Value):
         Only for a pair that is coprime by construction: the caller says why
         at the call site.  The public constructors keep their checks.
         """
-        if q < 0:
-            p, q = -p, -q
-        slope = object.__new__(cls)
-        object.__setattr__(slope, "p", p % q)
-        object.__setattr__(slope, "q", q)
-        return slope
+        return cls._of(p % q, q) if q > 0 else cls._of(-p % -q, -q)
 
     def __str__(self) -> str:
         return f"[ {self.p}/{self.q} ]"
@@ -154,20 +161,34 @@ def _coprime(p: int, q: int) -> Fraction:
     return x
 
 
+# How many entries _cf_matrix multiplies by the recurrence before pairing products.
+_CF_CHUNK = 64
+
+
 def _cf_matrix(entries: Sequence[int]) -> tuple[int, int, int, int]:
-    """The integer matrix product of the continued fraction [n1, ..., nk]
+    """The integer matrix product of the continued fraction [n1, ..., nk], k >= 1,
 
         [[n1, 1], [1, 0]] ... [[nk, 1], [1, 0]] = [[p, p0], [q, q0]]
 
-    as (p, p0, q, q0), left to right by the convergent recurrence p_k = n_k
-    p_(k-1) + p_(k-2), and the same for q, from the identity.  Each factor
-    has determinant -1, so p q0 - p0 q = (-1)^k, and p and q are coprime.
+    as (p, p0, q, q0): the convergent recurrence p_k = n_k p_(k-1) + p_(k-2),
+    and the same for q, over each chunk of _CF_CHUNK entries, then the chunk
+    products in pairs, round by round, so that each product is of numbers of
+    like size.  Each factor has determinant -1, so p q0 - p0 q = (-1)^k, and
+    p and q are coprime.
     """
-    p, p0, q, q0 = 1, 0, 0, 1
-    for n in entries:
-        p, p0 = n * p + p0, p
-        q, q0 = n * q + q0, q
-    return p, p0, q, q0
+    products = []
+    for start in range(0, len(entries), _CF_CHUNK):
+        p, p0, q, q0 = 1, 0, 0, 1
+        for n in entries[start : start + _CF_CHUNK]:
+            p, p0 = n * p + p0, p
+            q, q0 = n * q + q0, q
+        products.append((p, p0, q, q0))
+    while len(products) > 1:
+        products = [
+            (p * r + p0 * s, p * r0 + p0 * s0, q * r + q0 * s, q * r0 + q0 * s0)
+            for (p, p0, q, q0), (r, r0, s, s0) in zip(products[::2], products[1::2])
+        ] + products[len(products) // 2 * 2 :]  # an unpaired last one waits
+    return products[0]
 
 
 def cf_eval(entries: Sequence[int]) -> ExtRational:

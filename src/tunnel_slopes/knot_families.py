@@ -83,8 +83,7 @@ class TwoBridge(_Value):
             raise DomainError("b must satisfy 0 < b < a")
         if math.gcd(a, b) != 1:
             raise DomainError(f"{a} and {b} are not coprime")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        super().__init__(a, b)
 
     @property
     def dual_b(self) -> int:
@@ -104,10 +103,7 @@ class TwoBridgeReport(_Value):
         lower_simple: SlopeSequence,
         lower_semisimple: SlopeSequence,
     ) -> None:
-        object.__setattr__(self, "upper_simple", upper_simple)
-        object.__setattr__(self, "upper_semisimple", upper_semisimple)
-        object.__setattr__(self, "lower_simple", lower_simple)
-        object.__setattr__(self, "lower_semisimple", lower_semisimple)
+        super().__init__(upper_simple, upper_semisimple, lower_simple, lower_semisimple)
 
 
 REJECTION_I = "m0 must be of the form [ n0/(2n0+1) ] with n0 not in {-1,0}."
@@ -124,8 +120,7 @@ class Rejection(_Value):
     __slots__ = ("condition", "message")
 
     def __init__(self, condition: str, message: str) -> None:
-        object.__setattr__(self, "condition", condition)
-        object.__setattr__(self, "message", message)
+        super().__init__(condition, message)
 
 
 def two_bridge_tunnels(a: int, b: int) -> TwoBridgeReport:
@@ -148,12 +143,13 @@ def two_bridge_tunnels(a: int, b: int) -> TwoBridgeReport:
     if max(_semisimple_segments(a, b), _semisimple_segments(a, dual)) > SIZE_LIMIT:
         raise DomainError(_TOO_MANY_SEGMENTS)
     entries = expand_all_even(a, b)
-    # TwoBridge checked a odd and 0 < b < a coprime to a, so the simple
-    # classes [b'/a] and [b/a] are reduced, nonintegral, of odd denominator
+    # TwoBridge checked a odd and 0 < b < a coprime to a, and 0 < b' < a, so
+    # the simple classes [b'/a] and [b/a] are reduced, nonintegral, of odd
+    # denominator, and already written with 0 < p < q
     return TwoBridgeReport(
-        upper_simple=SlopeSequence._of_valid(SimpleSlope._of_coprime(dual, a), ()),
+        upper_simple=SlopeSequence._of(SimpleSlope._of(dual, a), ()),
         upper_semisimple=_semisimple_walk(entries),
-        lower_simple=SlopeSequence._of_valid(SimpleSlope._of_coprime(b, a), ()),
+        lower_simple=SlopeSequence._of(SimpleSlope._of(b, a), ()),
         lower_semisimple=_semisimple_walk([-x for x in reversed(entries)]),
     )
 
@@ -239,7 +235,7 @@ def _semisimple_walk(entries: Sequence[int]) -> SlopeSequence:
         if run:
             rest += [_RUN_SLOPE[unit]] * run
     # every later slope, 1 - 2 prev k over k or a run's +-1, has odd numerator
-    return SlopeSequence._of_valid(first, tuple(rest))
+    return SlopeSequence._of(first, tuple(rest))
 
 
 def find_two_bridge(
@@ -280,7 +276,7 @@ def find_two_bridge(
             return Rejection("ii", REJECTION_II)
     # the closed form's walk run backwards, one unit step 2 alpha per slope
     # landing on k - (alpha + alpha')/2 (a run of -alpha slopes comes back as
-    # landings on 0, which the product merges); built right to left, then reversed
+    # landings on 0, which the product merges); built right to left
     unit = -1 if n0 % 2 != 0 else 1
     entries = [n0 - (unit - 1) // 2, 2 * unit]
     for i in range(0, len(slopes), 2):
@@ -289,13 +285,17 @@ def find_two_bridge(
             return Rejection("iv", REJECTION_IV) if i else Rejection("iii", REJECTION_III)
         prev, unit = unit, -unit if k % 2 == 0 else unit
         entries += (k - (unit + prev) // 2, 2 * unit)
-    entries.reverse()
-    # (p, q) = sign (a, bhat), and the length is even, so p q0 - p0 q = +1
-    # and b' = -sign p0 inverts b mod a (expand_all_even's transpose argument)
-    p, p0, q, _ = _cf_matrix(entries)
-    sign = 1 if p > 0 else -1
-    a = abs(p)
-    return (TwoBridge(a, sign * q % a), TwoBridge(a, -sign * p0 % a))
+    # the product in build order is the transpose of [[p, p0], [q, q0]], the
+    # product left to right; (p, q) = sign (a, bhat), and the length is even,
+    # so p q0 - p0 q = +1 and b' = -sign p0 inverts b mod a (expand_all_even's
+    # transpose argument)
+    p, q, p0, _ = _cf_matrix(entries)
+    a, sign = abs(p), 1 if p > 0 else -1
+    # every entry is even and there are evenly many, so a is odd; the
+    # determinant is +1, so b and b' are units mod a; a zero entry only joins
+    # two equal +-2 entries, so every merged entry has |e| >= 2, |a/bhat| > 1
+    # and a >= 3
+    return (TwoBridge._of(a, sign * q % a), TwoBridge._of(a, -sign * p0 % a))
 
 
 def _check_torus(p: int, q: int) -> None:
@@ -357,7 +357,7 @@ def torus_upper_slopes(p: int, q: int) -> SlopeSequence:
     chain = [sign * (2 * h - 1) for h in staircase(abs(p), abs(q))[:-1] if h > 1]
     # the chain entries are odd, and |n0| >= 3, so [1/n0] is no integer
     first = SimpleSlope._of_coprime(1, chain[0])
-    return SlopeSequence._of_valid(first, tuple([_coprime(n, 1) for n in chain[1:]]))
+    return SlopeSequence._of(first, tuple([_coprime(n, 1) for n in chain[1:]]))
 
 
 def torus_lower_slopes(p: int, q: int) -> SlopeSequence:

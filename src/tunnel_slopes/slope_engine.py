@@ -52,10 +52,10 @@ class SlopeSequence(_Value):
     nonintegral first slope with odd denominator and later slopes with odd
     numerator.
 
-    The public constructor checks all of that.  ``_of_valid`` skips the
-    checks and the copy, for the library's own sequences: only for a first
-    slope and a tuple of Fractions that are valid by construction, as above,
-    and the caller says why at the call site.
+    The public constructor checks all of that.  ``_of`` skips the checks and
+    the copy, for the library's own sequences: only for a first slope and a
+    tuple of Fractions that are valid by construction, as above, and the
+    caller says why at the call site.
     """
 
     __slots__ = ("first", "rest")
@@ -75,16 +75,7 @@ class SlopeSequence(_Value):
             for x in rest:
                 if x.numerator % 2 == 0:
                     raise DomainError(f"slope {x} has even numerator")
-        object.__setattr__(self, "first", first)
-        object.__setattr__(self, "rest", rest)
-
-    @classmethod
-    def _of_valid(cls, first: SimpleSlope, rest: tuple[Fraction, ...]) -> "SlopeSequence":
-        """The sequence [first], *rest, valid by construction, with no checks."""
-        seq = object.__new__(cls)
-        object.__setattr__(seq, "first", first)
-        object.__setattr__(seq, "rest", rest)
-        return seq
+        super().__init__(first, rest)
 
     def __bool__(self) -> bool:
         return self.first is not None
@@ -208,7 +199,7 @@ def upper_slopes(w: BraidWord) -> SlopeSequence:
     # bottom pop left |p| != 1, so the first slope q/p is no integer
     (p, q), *rest = slopes[bottom:]
     first = SimpleSlope._of_coprime(q, p)
-    return SlopeSequence._of_valid(first, tuple([_coprime(p, q) for p, q in rest]))
+    return SlopeSequence._of(first, tuple([_coprime(p, q) for p, q in rest]))
 
 
 def lower_slopes(w: BraidWord) -> SlopeSequence:

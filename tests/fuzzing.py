@@ -31,8 +31,7 @@ class FuzzPlan(_Value):
     __slots__ = ("seed", "insertions")
 
     def __init__(self, seed: int, insertions: tuple[tuple[int, str, int], ...]) -> None:
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "insertions", insertions)
+        super().__init__(seed, insertions)
 
 
 def _unit_letters(w: BraidWord) -> list[Letter]:

@@ -63,6 +63,12 @@ SPELLING_ORACLE = (
 # which it passes.  Mixed-sign torus words are pinned as well.
 DIGEST_TORUS = "tests/test_digests.py::test_answers_match_the_recorded_digest[torus]"
 TORUS_WORD_PINS = "tests/test_knot_families.py::test_torus_braid_word_pinned_values"
+CF_MATRIX_ORACLE = "tests/test_oracles.py::test_cf_matrix_matches_the_recurrence_across_chunks"
+RECOGNIZER = (
+    "tests/test_acceptance.py::test_criterion_08_recognizer_inverts_closed_form",
+    "tests/test_knot_families.py::test_find_two_bridge_success_cases",
+    "tests/test_oracles.py::test_find_two_bridge_matches_oracle_on_random_sequences",
+)
 README_UPPER = (
     "tests/test_cli.py::test_readme_transcript[upperSlopes m 3 s -2 l 3 s -4 m -1 s -4 l 3]"
 )
@@ -312,6 +318,21 @@ ROWS = (
             "tests/test_oracles.py::test_cf_eval_matches_both_oracles",
         ),
     ),
+    # the balanced product: chunks by the recurrence, then rounds of pairs
+    Mutant(
+        "a round of the product drops the unpaired last matrix",
+        ARITH,
+        "        ] + products[len(products) // 2 * 2 :]  # an unpaired last one waits\n",
+        "        ]\n",
+        (CF_MATRIX_ORACLE,),
+    ),
+    Mutant(
+        "a chunk slice repeats the next chunk's first entry",
+        ARITH,
+        "entries[start : start + _CF_CHUNK]",
+        "entries[start : start + _CF_CHUNK + 1]",
+        (CF_MATRIX_ORACLE,),
+    ),
     Mutant(
         "cf_eval reads INFINITY off p instead of q",
         ARITH,
@@ -351,10 +372,10 @@ ROWS = (
         ("tests/test_values.py::test_closed_forms_build_valid_sequences",),
     ),
     Mutant(
-        "parse_slopes builds through _of_valid",
+        "parse_slopes builds through _of",
         ENGINE,
         "    return SlopeSequence(SimpleSlope.from_fraction(values[0]), tuple(values[1:]))",
-        "    return SlopeSequence._of_valid(SimpleSlope.from_fraction(values[0]), tuple(values[1:]))",
+        "    return SlopeSequence._of(SimpleSlope.from_fraction(values[0]), tuple(values[1:]))",
         ("tests/test_slope_engine.py::test_parse_slopes_errors",),
     ),
     # mixed-sign torus knots: slopes that only the digest corpora reach, and words
@@ -433,15 +454,25 @@ ROWS = (
         ("tests/test_knot_families.py::test_find_two_bridge_rejections",),
     ),
     Mutant(
+        "find_two_bridge reads p0 for q in the transposed product",
+        FAMILIES,
+        "    p, q, p0, _ = _cf_matrix(entries)\n",
+        "    p, p0, q, _ = _cf_matrix(entries)\n",
+        RECOGNIZER,
+    ),
+    Mutant(
+        "find_two_bridge swaps b and b' in the knots it builds",
+        FAMILIES,
+        "return (TwoBridge._of(a, sign * q % a), TwoBridge._of(a, -sign * p0 % a))",
+        "return (TwoBridge._of(a, -sign * p0 % a), TwoBridge._of(a, sign * q % a))",
+        RECOGNIZER,
+    ),
+    Mutant(
         "find_two_bridge reads b' with the wrong sign",
         FAMILIES,
         "-sign * p0",
         "sign * p0",
-        (
-            "tests/test_acceptance.py::test_criterion_08_recognizer_inverts_closed_form",
-            "tests/test_knot_families.py::test_find_two_bridge_success_cases",
-            "tests/test_oracles.py::test_find_two_bridge_matches_oracle_on_random_sequences",
-        ),
+        RECOGNIZER,
     ),
 )
 

@@ -183,8 +183,9 @@ def test_input_at_the_limit_runs_at_once(argv, start):
 # segments whose slopes are all integral, and lowerSlopes reads the same word
 # from its reverse.  The long-exponent line is one segment of 4290-digit
 # exponents whose column grows to about 430,000 digits; its slopes are read
-# with no gcd.  The recognizer's line has 16,384 slopes 2 + 1/20, -2 + 1/20,
-# ..., and its a has 26,245 digits, too many to print.
+# with no gcd.  The recognizer's lines have 16,384 and 65,536 slopes
+# 2 + 1/20, -2 + 1/20, ..., and their a has 26,245 and 104,973 digits, too
+# many to print; the longer is the line CI runs through the console script.
 _DIGITS_4290 = "7" * 4290
 _TOO_LONG_TO_PRINT = (
     "error: the result has an integer too long to print (the limit is 4300 digits)\n"
@@ -199,6 +200,7 @@ _ENGINE_AT_SCALE = [
         _TOO_LONG_TO_PRINT,
     ),
     (["find2BridgeKnot", "1", "3", *["41", "20", "-39", "20"] * 8192], 1, "", _TOO_LONG_TO_PRINT),
+    (["find2BridgeKnot", "1", "3", *["41", "20", "-39", "20"] * 32768], 1, "", _TOO_LONG_TO_PRINT),
 ]
 
 
@@ -210,6 +212,7 @@ _ENGINE_AT_SCALE = [
         "lowerSlopesIntegral",
         "upperSlopesLongExponents",
         "find2BridgeKnotTooLongToPrint",
+        "find2BridgeKnotTooLongToPrintAt65536Slopes",
     ],
 )
 def test_reduction_at_scale_runs_at_once(argv, code, out, err):

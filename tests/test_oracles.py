@@ -24,9 +24,13 @@ match or the same rejection on random sequences near the semisimple ones.
 `cf_eval` multiplies integer matrices; its oracle evaluates right to left in
 `Fraction` arithmetic with the formal rules for INFINITY as cases of their
 own, and the recognizer's oracle uses it, so that it runs none of the code
-under test.  `torus_braid_word` reads the staircase of (|p|, |q|) for either
-sign; its oracle reads the staircase of (|q|, p) for mixed signs and leaves
-`word` to merge its dm runs, and the two must spell the same words.
+under test.  The matrix product runs the convergent recurrence over chunks
+and multiplies the chunk products in balanced rounds; its oracle runs the
+recurrence over all the entries, and the two must give the same matrix on
+either side of every chunk boundary.  `torus_braid_word` reads the
+staircase of (|p|, |q|) for either sign; its oracle reads the staircase of
+(|q|, p) for mixed signs and leaves `word` to merge its dm runs, and the two
+must spell the same words.
 `toroidal_braid_word` walks its chain's heights (n + 1)/2 the same way; its
 oracle spells one block per chain entry, as the word was once spelled, and
 the two must spell the same words on long chains of either sign.
@@ -85,7 +89,13 @@ from tunnel_slopes.braid import (
     winding_number,
     word,
 )
-from tunnel_slopes.exact_arith import INFINITY, cf_eval, expand_odd_numerator
+from tunnel_slopes.exact_arith import (
+    _CF_CHUNK,
+    INFINITY,
+    _cf_matrix,
+    cf_eval,
+    expand_odd_numerator,
+)
 from tunnel_slopes.knot_families import (
     REJECTION_I,
     REJECTION_II,
@@ -554,6 +564,24 @@ def test_cf_eval_matches_both_oracles():
                 assert got.denominator > 0, entries
         infinite += got is INFINITY
     assert infinite >= 600, infinite
+
+
+def oracle_cf_matrix(entries):
+    """The product of the factors [[n, 1], [1, 0]] as (p, p0, q, q0), left to
+    right by the convergent recurrence over all the entries at once."""
+    p, p0, q, q0 = 1, 0, 0, 1
+    for n in entries:
+        p, p0 = n * p + p0, p
+        q, q0 = n * q + q0, q
+    return p, p0, q, q0
+
+
+def test_cf_matrix_matches_the_recurrence_across_chunks():
+    rng = Random(6464)
+    lengths = (_CF_CHUNK - 1, _CF_CHUNK, _CF_CHUNK + 1, 2 * _CF_CHUNK + 1, 1000)
+    lists = [[rng.randint(-99, 99) for _ in range(length)] for length in lengths]
+    for entries in [*_cf_entry_lists(), *lists]:
+        assert _cf_matrix(entries) == oracle_cf_matrix(entries), entries
 
 
 def oracle_expand_odd_numerator(x):

@@ -2,8 +2,9 @@
 
 Every value class compares field by field against its own class only, hashes
 its fields, refuses assignment, prints as Name(field=value, ...), and
-survives copy and pickle round trips.  The sequences the library builds
-with no checks must equal what the checked constructors build.
+survives copy and pickle round trips.  ``_of`` builds each from exactly
+its fields, with no checks, and the sequences the library builds that way
+must equal what the checked constructors build.
 """
 
 import copy
@@ -159,6 +160,15 @@ def test_copy_and_pickle_round_trips(value, twin, other, names, text):
             setattr(clone, names[0], getattr(other, names[0]))
 
 
+@pytest.mark.parametrize("value, twin, other, names, text", CASES, ids=IDS)
+def test_of_builds_the_value_from_exactly_its_fields(value, twin, other, names, text):
+    fields = _fields(value, names)
+    assert type(value)._of(*fields) == value
+    for wrong in (fields[:-1], fields + (None,)):
+        with pytest.raises(ValueError):
+            type(value)._of(*wrong)
+
+
 def test_defaults():
     assert BraidWord().letters == ()
     assert not BraidWord()
@@ -193,8 +203,8 @@ def _assert_valid_as_built(seq):
 
 
 # The closed forms, torus_upper_slopes and the engine build their sequences
-# with SlopeSequence._of_valid, which checks nothing: each value must still
-# pass the public constructor's checks and equal what it builds.
+# with SlopeSequence._of, which checks nothing: each value must still pass
+# the public constructor's checks and equal what it builds.
 def test_closed_forms_build_valid_sequences():
     for a, b in coprime_pairs(range(3, 402, 2)):
         report = two_bridge_tunnels(a, b)
