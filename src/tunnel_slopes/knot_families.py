@@ -6,16 +6,19 @@ Each has four tunnels: an upper and a lower simple one, whose slope
 sequences are the single classes [b'/a] and [b/a], and an upper and a lower
 semisimple one, whose sequences this module computes by closed formula and
 recognizes by running that formula backwards.  The closed formula is one walk
-over the all-even expansion of (a, b).  Run backwards, the walk's parity rule
-(each later slope 2 sign + 1/k has sign minus a unit that flips after every
-even k) is the recognizer's conditions iii and iv, so find_two_bridge checks
-them while it rebuilds the expansion.  The expansion of (a, b') is the same
-entries reversed and negated, so two_bridge_tunnels reads both semisimple
-sequences from one expansion.  The module also builds the braid words whose
-upper tunnels are the semisimple ones, which the CLI prints;
-two_bridge_tunnels refuses K(a, b) by the same dm count that segment uses,
-read off the a-steps of both words' even-odd expansions without spelling a
-letter.
+over the all-even expansion of (a, b), with one step rule for every slope.
+m0 = [p/q] is read as the slope q/p, as braid_from_slopes and upper_slopes
+read it, so [n0/(2n0+1)] is 2 + 1/n0 and every slope is 2 sign + 1/k, its
+sign minus a unit that starts at -1 and flips after every even k, n0
+included.  Run backwards, that form is the recognizer's condition i at m0
+and ii after it, and the parity rule its conditions iii and iv, so
+find_two_bridge checks them while it rebuilds the expansion.  The expansion
+of (a, b') is the same entries reversed and negated, so two_bridge_tunnels
+reads both semisimple sequences from one expansion.  The module also builds
+the braid words whose upper tunnels are the semisimple ones, which the CLI
+prints; two_bridge_tunnels refuses K(a, b) by the same dm count that segment
+uses, read off the a-steps of both words' even-odd expansions without
+spelling a letter.
 
 The torus knot T(p, q) has its tunnel slopes read off the staircase of
 (|p|, |q|), and its braid word walks that staircase's heights; the wider
@@ -208,34 +211,30 @@ _RUN_SLOPE = {1: Fraction(-1), -1: Fraction(1)}
 def _semisimple_walk(entries: Sequence[int]) -> SlopeSequence:
     """The semisimple slope sequence read off an all-even expansion.
 
-    One walk over the steps, right to left.  A step 2c with sign alpha,
-    landing on 2 beta, gives one slope and then |c| - 1 slopes equal to
-    -alpha.  The rightmost step's slope is the class
-    [(2 beta + (alpha - 1)/2) / (4 beta + alpha)]; every later step's is
-    -2 alpha' + 1/k with k = 2 beta + (alpha + alpha')/2, where alpha' is the
-    sign of the step before it in the walk.  So the sequence has
-    sum(|step| / 2) slopes.
+    One walk over the steps, right to left, from a unit of -1.  A step 2c
+    with sign alpha, landing on 2 beta, meets the unit alpha' (the sign of
+    the step before it in the walk, or the seed): it gives the slope
+    -2 alpha' + 1/k with k = 2 beta + (alpha + alpha')/2, and then |c| - 1
+    slopes equal to -alpha.  So the sequence has sum(|step| / 2) slopes.  The
+    first slope, (2k + 1)/k, is m0 read as q/p, so m0 is the class of its
+    reciprocal, [k/(2k + 1)].  Either seed gives the same class: a seed of +1
+    gives k + 1 and the class [(k + 1)/(-2k - 1)] = [k/(2k + 1)].
     """
-    unit = 1 if entries[-2] > 0 else -1
-    landing = entries[-1]
-    # n / (2n + 1) with n = landing + (unit - 1) / 2, which is coprime; the
-    # landing is even and nonzero, so n is neither 0 nor -1 and the class is
-    # no integer, and 2n + 1 is odd
-    first = SimpleSlope._of_coprime(landing + (unit - 1) // 2, 2 * landing + unit)
-    rest: list[Fraction] = []
-    run = abs(entries[-2]) // 2 - 1
-    if run:
-        rest += [_RUN_SLOPE[unit]] * run
-    for i in range(len(entries) - 4, -1, -2):
+    unit = -1  # the seed
+    slopes: list[Fraction] = []
+    for i in range(len(entries) - 2, -1, -2):
         prev, unit = unit, 1 if entries[i] > 0 else -1
         k = entries[i + 1] + (unit + prev) // 2
         assert k != 0
-        rest.append(_coprime(1 - 2 * prev * k, k))  # gcd(1 - 2 prev k, k) = gcd(1, k)
-        run = abs(entries[i]) // 2 - 1
-        if run:
-            rest += [_RUN_SLOPE[unit]] * run
-    # every later slope, 1 - 2 prev k over k or a run's +-1, has odd numerator
-    return SlopeSequence._of(first, tuple(rest))
+        slopes.append(_coprime(1 - 2 * prev * k, k))  # gcd(1 - 2 prev k, k) = gcd(1, k)
+        slopes += [_RUN_SLOPE[unit]] * (abs(entries[i]) // 2 - 1)
+    # m0's k is the landing 2 beta plus (alpha - 1)/2, with beta nonzero, so k
+    # is neither 0 nor -1 and [k/(2k + 1)] is a class of odd denominator and
+    # no integer; every later slope, 1 - 2 prev k over k or a run's +-1, has
+    # odd numerator
+    m0 = slopes[0]
+    first = SimpleSlope._of_coprime(m0.denominator, m0.numerator)
+    return SlopeSequence._of(first, tuple(slopes[1:]))
 
 
 def find_two_bridge(
@@ -248,41 +247,38 @@ def find_two_bridge(
     second.  Otherwise returns a Rejection naming the first failed condition,
     where ii, on every later slope, is checked before iii and iv.
 
-    Conditions i and ii fix n0 and each later slope 2 sign + 1/k; the
-    closed form's walk, run backwards from n0, then fixes every sign.  Its
-    unit starts at -1 for odd n0 and +1 for even n0 and flips after each
-    even k, and each slope's sign must be minus the unit it meets: that
-    parity rule is condition iii on the first later slope and iv on the
-    rest.  So one loop both checks them and builds the all-even entries of
-    (a, b), and both knots are read off their _cf_matrix.
+    m0 = [p/q] is read as the slope q/p, so one test fixes each slope as
+    2 sign + 1/k: failing it is condition i at m0 and ii after it, and m0
+    passes exactly as [n0/(2n0+1)], read as 2 + 1/n0.  The closed form's
+    walk, run backwards from a unit of -1, then fixes every sign: the unit
+    flips after each even k, n0 included, and each slope's sign must be
+    minus the unit it meets.  m0's sign is always +1, as the seed wants, so
+    that parity rule is condition iii on the first later slope (index 2 of
+    the signs and ks) and iv on the rest.  So one loop both checks them and
+    builds the all-even entries of (a, b), and both knots are read off their
+    _cf_matrix.
     """
     if not seq:
         return Rejection("i", REJECTION_I)
-    p, q = seq.first.p, seq.first.q
-    if p == (q - 1) // 2:
-        n0 = p
-    elif p == (q + 1) // 2:
-        n0 = -p
-    else:
-        return Rejection("i", REJECTION_I)
-    slopes: list[int] = []  # sign, k of each slope 2 sign + 1/k in turn
-    for x in seq.rest:
-        num, den = x.numerator, x.denominator
+    pairs = [(seq.first.q, seq.first.p)]  # m0 = [p/q] read as the slope q/p
+    pairs += [(x.numerator, x.denominator) for x in seq.rest]
+    slopes: list[int] = []  # sign, k of each slope 2 sign + 1/k in turn, m0 first
+    for num, den in pairs:
         if abs(num - 2 * den) == 1:
             slopes += (1, den * (num - 2 * den))
         elif abs(num + 2 * den) == 1:
             slopes += (-1, den * (num + 2 * den))
         else:
-            return Rejection("ii", REJECTION_II)
+            return Rejection("ii", REJECTION_II) if slopes else Rejection("i", REJECTION_I)
     # the closed form's walk run backwards, one unit step 2 alpha per slope
     # landing on k - (alpha + alpha')/2 (a run of -alpha slopes comes back as
     # landings on 0, which the product merges); built right to left
-    unit = -1 if n0 % 2 != 0 else 1
-    entries = [n0 - (unit - 1) // 2, 2 * unit]
+    unit = -1
+    entries: list[int] = []
     for i in range(0, len(slopes), 2):
         sign, k = slopes[i], slopes[i + 1]
         if sign != -unit:  # conditions iii and iv: the walk's parity rule
-            return Rejection("iv", REJECTION_IV) if i else Rejection("iii", REJECTION_III)
+            return Rejection("iv", REJECTION_IV) if i > 2 else Rejection("iii", REJECTION_III)
         prev, unit = unit, -unit if k % 2 == 0 else unit
         entries += (k - (unit + prev) // 2, 2 * unit)
     # the product in build order is the transpose of [[p, p0], [q, q0]], the

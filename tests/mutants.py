@@ -69,6 +69,17 @@ RECOGNIZER = (
     "tests/test_knot_families.py::test_find_two_bridge_success_cases",
     "tests/test_oracles.py::test_find_two_bridge_matches_oracle_on_random_sequences",
 )
+REJECTIONS = (
+    "tests/test_knot_families.py::test_find_two_bridge_rejections",
+    "tests/test_oracles.py::test_find_two_bridge_matches_oracle_on_random_sequences",
+)
+CLOSED_FORM = (
+    "tests/test_knot_families.py::test_two_bridge_tunnels_golden_report",
+    "tests/test_knot_families.py::test_closed_form_pinned_sequences",
+    "tests/test_acceptance.py::test_criterion_07_closed_forms_match_engine",
+    "tests/test_acceptance.py::test_criterion_08_recognizer_inverts_closed_form",
+    "tests/test_digests.py::test_answers_match_the_recorded_digest[two-bridge]",
+)
 README_UPPER = (
     "tests/test_cli.py::test_readme_transcript[upperSlopes m 3 s -2 l 3 s -4 m -1 s -4 l 3]"
 )
@@ -367,9 +378,27 @@ ROWS = (
     Mutant(
         "the walk's step slope gets an even numerator",
         FAMILIES,
-        "rest.append(_coprime(1 - 2 * prev * k, k))",
-        "rest.append(_coprime(2 - 2 * prev * k, k))",
+        "slopes.append(_coprime(1 - 2 * prev * k, k))",
+        "slopes.append(_coprime(2 - 2 * prev * k, k))",
         ("tests/test_values.py::test_closed_forms_build_valid_sequences",),
+    ),
+    Mutant(
+        "the walk keeps its first slope's own class, not its reciprocal's",
+        FAMILIES,
+        "SimpleSlope._of_coprime(m0.denominator, m0.numerator)",
+        "SimpleSlope._of_coprime(m0.numerator, m0.denominator)",
+        CLOSED_FORM,
+    ),
+    Mutant(
+        "the walk starts from unit +1",
+        FAMILIES,
+        "    unit = -1  # the seed\n",
+        "    unit = 1  # the seed\n",
+        CLOSED_FORM,
+        expect="survives",
+        reason="m0 is a class mod 1: a seed of +1 gives k + 1 and [(k + 1)/(-2k - 1)] = "
+        "[k/(2k + 1)], and every later step meets the sign of the step before it, so "
+        "only the recognizer's seed is pinned",
     ),
     Mutant(
         "parse_slopes builds through _of",
@@ -445,7 +474,36 @@ ROWS = (
         "    return repr(token)\n",
         ("tests/test_cli.py::test_a_refused_token_is_not_echoed",),
     ),
-    # the recognizer
+    # the recognizer: one test 2 sign + 1/k over m0 read as q/p and every later
+    # slope, then one walk from unit -1
+    Mutant(
+        "find_two_bridge reads m0 as p/q",
+        FAMILIES,
+        "pairs = [(seq.first.q, seq.first.p)]",
+        "pairs = [(seq.first.p, seq.first.q)]",
+        RECOGNIZER,
+    ),
+    Mutant(
+        "find_two_bridge swaps its i and ii rejections",
+        FAMILIES,
+        'return Rejection("ii", REJECTION_II) if slopes else Rejection("i", REJECTION_I)',
+        'return Rejection("i", REJECTION_I) if slopes else Rejection("ii", REJECTION_II)',
+        REJECTIONS,
+    ),
+    Mutant(
+        "find_two_bridge's walk starts from unit +1",
+        FAMILIES,
+        "    unit = -1\n    entries: list[int] = []\n",
+        "    unit = 1\n    entries: list[int] = []\n",
+        RECOGNIZER,
+    ),
+    Mutant(
+        "find_two_bridge reports iii only at m0's index",
+        FAMILIES,
+        'REJECTION_IV) if i > 2 else Rejection("iii"',
+        'REJECTION_IV) if i > 0 else Rejection("iii"',
+        REJECTIONS,
+    ),
     Mutant(
         "find_two_bridge flips its unit after odd k",
         FAMILIES,

@@ -790,7 +790,10 @@ def oracle_find_two_bridge(seq):
 
     It collects each later slope's sign and k in two lists, checks the first
     sign against the parity of n0 (iii) and each sign change against the k
-    before it (iv), and only then rebuilds the all-even expansion.
+    before it (iv), and only then rebuilds the all-even expansion.  It reads
+    n0 off the class [p/q] by p == (q +- 1) // 2 and seeds the walk's unit
+    from n0's parity, where find_two_bridge reads m0 as the slope 2 + 1/n0
+    and walks from a unit of -1, so the two share no first-slope code.
     """
     if not seq:
         return Rejection("i", REJECTION_I)
