@@ -53,9 +53,12 @@ class BraidWord(_Value):
 
     __slots__ = ("letters",)
 
-    def __init__(self, letters: tuple[Letter, ...] = ()) -> None:
-        # one direct write, not _Value.__init__'s loop: the engine builds hundreds of words per call
-        object.__setattr__(self, "letters", letters)
+    def __new__(cls, letters: tuple[Letter, ...] = ()) -> "BraidWord":
+        # one direct write through the slot's setter, not _Value._of's loop,
+        # and object.__new__ read once: the engine builds hundreds of words per call
+        w = _new(cls)
+        _set_letters(w, letters)
+        return w
 
     def __mul__(self, other: "BraidWord") -> "BraidWord":
         """The product: the letters of self, then those of other.
@@ -84,6 +87,10 @@ class BraidWord(_Value):
 
     def __bool__(self) -> bool:
         return bool(self.letters)
+
+
+_new = object.__new__
+(_set_letters,) = BraidWord._setters
 
 
 def word(letters: Iterable[Letter]) -> BraidWord:

@@ -1,7 +1,8 @@
 """Exact arithmetic: extended rationals, simple slopes, continued fractions.
 
 This module also holds ``_Value``, the base of the package's immutable value
-classes.
+classes: each builds its values once, in ``__new__``, through the one setter
+``_Value._of``, so no value can be changed after it is built.
 
 Slope values are rational numbers or the single formal value ``INFINITY``
 (conceptually 1/0; there is no signed infinity).  Continued fractions follow
@@ -59,26 +60,37 @@ ExtRational = Fraction | _Infinity
 class _Value:
     """Base of the package's immutable values.
 
-    A subclass names its fields in ``__slots__``; ``__init__`` sets them in
-    that order, and a subclass that checks its fields calls it after its
-    checks.  ``_of`` builds a value with no checks, only from fields that are
-    valid by construction: the caller says why at the call site.  Instances
-    compare equal field by field within one class, hash their field tuple,
-    refuse assignment, print as ``Name(field=value, ...)`` and rebuild from
-    their fields under copy and pickle.
+    A subclass names its fields in ``__slots__`` and builds its values in
+    ``__new__(cls, <its fields>)``: it checks the fields there, if it checks
+    any, and returns ``cls._of(...)``.  No value class defines ``__init__``,
+    so calling ``__init__`` on a value again changes nothing.  ``_of`` is the
+    one setter, and it builds a value with no checks, so outside ``__new__``
+    it takes only fields that are valid by construction: the caller says why
+    at the call site.  Instances compare equal field by field within one
+    class, hash their field tuple, refuse assignment, print as
+    ``Name(field=value, ...)`` and rebuild from their fields under copy and
+    pickle.
     """
 
     __slots__ = ()
 
-    def __init__(self, *fields: object) -> None:
-        for name, value in zip(self.__slots__, fields, strict=True):
-            object.__setattr__(self, name, value)
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        # the slot descriptors' setters, in field order: _of writes through
+        # them, which skips the refusing __setattr__ and every name lookup
+        cls._setters = tuple([getattr(cls, name).__set__ for name in cls.__slots__])
 
     @classmethod
     def _of(cls, *fields: object):
-        """The value with these fields, past the subclass's checks."""
+        """The value with exactly these fields, past the subclass's checks."""
+        setters = cls._setters
+        if len(fields) != len(setters):
+            raise ValueError(f"{cls.__qualname__} has {len(setters)} fields, not {len(fields)}")
         value = object.__new__(cls)
-        _Value.__init__(value, *fields)
+        i = 0
+        for field in fields:  # indexed, not zipped: zip's pairs cost more per value
+            setters[i](value, field)
+            i += 1
         return value
 
     def _fields(self) -> tuple:
@@ -115,7 +127,7 @@ class SimpleSlope(_Value):
 
     __slots__ = ("p", "q")
 
-    def __init__(self, p: int, q: int) -> None:
+    def __new__(cls, p: int, q: int) -> "SimpleSlope":
         if q < 1:
             raise DomainError("simple slope needs q >= 1")
         if not 0 <= p < q:
@@ -125,7 +137,7 @@ class SimpleSlope(_Value):
                 raise DomainError("the trivial class is written 0/1")
         elif math.gcd(p, q) != 1:
             raise DomainError(f"simple slope {p}/{q} is not reduced")
-        super().__init__(p, q)
+        return cls._of(p, q)
 
     @classmethod
     def from_fraction(cls, x: Fraction) -> "SimpleSlope":

@@ -79,14 +79,14 @@ class TwoBridge(_Value):
 
     __slots__ = ("a", "b")
 
-    def __init__(self, a: int, b: int) -> None:
+    def __new__(cls, a: int, b: int) -> "TwoBridge":
         if a < 3 or a % 2 == 0:
             raise DomainError("a must be odd and at least 3")
         if not 0 < b < a:
             raise DomainError("b must satisfy 0 < b < a")
         if math.gcd(a, b) != 1:
             raise DomainError(f"{a} and {b} are not coprime")
-        super().__init__(a, b)
+        return cls._of(a, b)
 
     @property
     def dual_b(self) -> int:
@@ -99,14 +99,14 @@ class TwoBridgeReport(_Value):
 
     __slots__ = ("upper_simple", "upper_semisimple", "lower_simple", "lower_semisimple")
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         upper_simple: SlopeSequence,
         upper_semisimple: SlopeSequence,
         lower_simple: SlopeSequence,
         lower_semisimple: SlopeSequence,
-    ) -> None:
-        super().__init__(upper_simple, upper_semisimple, lower_simple, lower_semisimple)
+    ) -> "TwoBridgeReport":
+        return cls._of(upper_simple, upper_semisimple, lower_simple, lower_semisimple)
 
 
 REJECTION_I = "m0 must be of the form [ n0/(2n0+1) ] with n0 not in {-1,0}."
@@ -122,8 +122,8 @@ class Rejection(_Value):
 
     __slots__ = ("condition", "message")
 
-    def __init__(self, condition: str, message: str) -> None:
-        super().__init__(condition, message)
+    def __new__(cls, condition: str, message: str) -> "Rejection":
+        return cls._of(condition, message)
 
 
 def two_bridge_tunnels(a: int, b: int) -> TwoBridgeReport:
@@ -148,12 +148,13 @@ def two_bridge_tunnels(a: int, b: int) -> TwoBridgeReport:
     entries = expand_all_even(a, b)
     # TwoBridge checked a odd and 0 < b < a coprime to a, and 0 < b' < a, so
     # the simple classes [b'/a] and [b/a] are reduced, nonintegral, of odd
-    # denominator, and already written with 0 < p < q
-    return TwoBridgeReport(
-        upper_simple=SlopeSequence._of(SimpleSlope._of(dual, a), ()),
-        upper_semisimple=_semisimple_walk(entries),
-        lower_simple=SlopeSequence._of(SimpleSlope._of(b, a), ()),
-        lower_semisimple=_semisimple_walk([-x for x in reversed(entries)]),
+    # denominator, and already written with 0 < p < q; TwoBridgeReport checks
+    # nothing, so _of takes its four sequences, in field order
+    return TwoBridgeReport._of(
+        SlopeSequence._of(SimpleSlope._of(dual, a), ()),
+        _semisimple_walk(entries),
+        SlopeSequence._of(SimpleSlope._of(b, a), ()),
+        _semisimple_walk([-x for x in reversed(entries)]),
     )
 
 

@@ -46,10 +46,11 @@ class SlopeSequence(_Value):
     """The slope invariant [m0], m1, ..., md of a tunnel.
 
     ``first`` is the class of m0 in Q/Z and ``rest`` holds m1, ..., md as a
-    tuple, copied from any other sequence it is given, so the value is
-    hashable and cannot change after its checks.  The empty sequence (first
-    is None) belongs to the trivial knot; a nonempty sequence has a
-    nonintegral first slope with odd denominator and later slopes with odd
+    tuple of Fractions, copied from any other sequence it is given and with
+    each int made a Fraction, so the value is hashable and cannot change
+    after its checks.  The empty sequence (first is None) belongs to the
+    trivial knot; a nonempty sequence has a SimpleSlope first slope that is
+    nonintegral with odd denominator, and rational later slopes with odd
     numerator.
 
     The public constructor checks all of that.  ``_of`` skips the checks and
@@ -60,22 +61,28 @@ class SlopeSequence(_Value):
 
     __slots__ = ("first", "rest")
 
-    def __init__(
-        self, first: SimpleSlope | None = None, rest: Sequence[Fraction] = ()
-    ) -> None:
+    def __new__(
+        cls, first: SimpleSlope | None = None, rest: Sequence[Fraction | int] = ()
+    ) -> "SlopeSequence":
         rest = tuple(rest)
         if first is None:
             if rest:
                 raise DomainError("a sequence without a first slope must be empty")
         else:
+            if not isinstance(first, SimpleSlope):
+                raise DomainError(f"the first slope {first!r} is not a SimpleSlope")
             if first.p == 0:
                 raise DomainError("the first slope of a tunnel is never integral")
             if first.q % 2 == 0:
                 raise DomainError("the first slope of a tunnel has odd denominator")
             for x in rest:
+                if not isinstance(x, (int, Fraction)):
+                    raise DomainError(f"slope {x!r} is not an int or a Fraction")
                 if x.numerator % 2 == 0:
                     raise DomainError(f"slope {x} has even numerator")
-        super().__init__(first, rest)
+            if any(type(x) is not Fraction for x in rest):
+                rest = tuple([Fraction(x) for x in rest])
+        return cls._of(first, rest)
 
     def __bool__(self) -> bool:
         return self.first is not None

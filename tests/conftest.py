@@ -21,8 +21,8 @@ class Mat2(_Value):
 
     __slots__ = ("a", "b", "c", "d")
 
-    def __init__(self, a: int, b: int, c: int, d: int) -> None:
-        super().__init__(a, b, c, d)
+    def __new__(cls, a: int, b: int, c: int, d: int) -> "Mat2":
+        return cls._of(a, b, c, d)
 
     def __mul__(self, other: "Mat2") -> "Mat2":
         return Mat2(

@@ -30,8 +30,8 @@ class FuzzPlan(_Value):
 
     __slots__ = ("seed", "insertions")
 
-    def __init__(self, seed: int, insertions: tuple[tuple[int, str, int], ...]) -> None:
-        super().__init__(seed, insertions)
+    def __new__(cls, seed: int, insertions: tuple[tuple[int, str, int], ...]) -> "FuzzPlan":
+        return cls._of(seed, insertions)
 
 
 def _unit_letters(w: BraidWord) -> list[Letter]:

@@ -367,6 +367,32 @@ ROWS = (
         reason="expand_all_even asks at odd over even or even over odd, never an odd "
         "integer, so _nearest_even never meets a tie",
     ),
+    # values: built once, in __new__, through the one setter
+    Mutant(
+        "_of drops its field-count check",
+        ARITH,
+        "        if len(fields) != len(setters):\n"
+        '            raise ValueError(f"{cls.__qualname__} has {len(setters)} fields, not {len(fields)}")\n',
+        "",
+        ("tests/test_values.py::test_of_builds_the_value_from_exactly_its_fields",),
+    ),
+    Mutant(
+        "SimpleSlope builds before its gcd check",
+        ARITH,
+        "        elif math.gcd(p, q) != 1:\n",
+        "        else:\n            return cls._of(p, q)\n        if math.gcd(p, q) != 1:\n",
+        ("tests/test_values.py::test_invalid_fields_raise_domain_error",),
+    ),
+    Mutant(
+        "a value class keeps a field-setting __init__",
+        ARITH,
+        '    __slots__ = ("p", "q")\n',
+        '    __slots__ = ("p", "q")\n\n'
+        "    def __init__(self, p, q):\n"
+        '        object.__setattr__(self, "p", p)\n'
+        '        object.__setattr__(self, "q", q)\n',
+        ("tests/test_values.py::test_calling_init_again_changes_nothing",),
+    ),
     # sequences built by construction, with no checks
     Mutant(
         "the walk appends the run slope with the wrong sign",

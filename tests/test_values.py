@@ -27,6 +27,7 @@ from tunnel_slopes import (
     TwoBridgeReport,
     braid_from_slopes,
     lower_slopes,
+    parse_word,
     torus_upper_slopes,
     two_bridge_tunnels,
     upper_slopes,
@@ -169,6 +170,25 @@ def test_of_builds_the_value_from_exactly_its_fields(value, twin, other, names, 
             type(value)._of(*wrong)
 
 
+@pytest.mark.parametrize("value, twin, other, names, text", CASES, ids=IDS)
+def test_calling_init_again_changes_nothing(value, twin, other, names, text):
+    as_set, as_key = {value}, {value: "found"}
+    before = hash(value)
+    try:
+        value.__init__(*_fields(other, names))
+    except (TypeError, ValueError, DomainError):
+        pass  # refusing to re-initialise is fine too
+    assert value == twin and _fields(value, names) == _fields(twin, names)
+    assert hash(value) == before
+    assert value in as_set and as_key[value] == "found"
+
+
+def test_calling_init_again_keeps_a_words_letters():
+    w = parse_word("m 1")
+    w.__init__((("l", 0),))
+    assert w.letters == (("m", 1),)
+
+
 def test_defaults():
     assert BraidWord().letters == ()
     assert not BraidWord()
@@ -189,6 +209,15 @@ def test_slope_sequence_keeps_its_later_slopes_as_a_tuple():
     assert from_list == from_tuple
     rest = from_tuple.rest
     assert SlopeSequence(SimpleSlope(3, 7), rest).rest is rest
+
+
+def test_slope_sequence_stores_int_later_slopes_as_fractions():
+    from_ints = SlopeSequence(SimpleSlope(1, 3), [3, Fraction(7, 2), -13])
+    from_fractions = SlopeSequence(SimpleSlope(1, 3), (Fraction(3), Fraction(7, 2), Fraction(-13)))
+    assert from_ints == from_fractions and hash(from_ints) == hash(from_fractions)
+    assert [type(x) for x in from_ints.rest] == [Fraction] * 3
+    assert repr(from_ints) == repr(from_fractions)
+    assert repr(SlopeSequence(SimpleSlope(1, 3), (3,))).endswith("rest=(Fraction(3, 1),))")
 
 
 def _assert_valid_as_built(seq):
@@ -261,6 +290,22 @@ def test_the_engine_builds_valid_sequences():
         (
             lambda: SlopeSequence(SimpleSlope(1, 3), (Fraction(3), Fraction(2, 3))),
             "slope 2/3 has even numerator",
+        ),
+        (
+            lambda: SlopeSequence(SimpleSlope(1, 3), (3.0,)),
+            "slope 3.0 is not an int or a Fraction",
+        ),
+        (
+            lambda: SlopeSequence(SimpleSlope(1, 3), (Fraction(3), "3")),
+            "slope '3' is not an int or a Fraction",
+        ),
+        (
+            lambda: SlopeSequence(Fraction(1, 3)),
+            "the first slope Fraction(1, 3) is not a SimpleSlope",
+        ),
+        (
+            lambda: SlopeSequence((1, 3), (Fraction(3),)),
+            "the first slope (1, 3) is not a SimpleSlope",
         ),
     ],
 )
